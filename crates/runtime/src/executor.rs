@@ -2,15 +2,13 @@
 //!
 //! This module keeps the pieces every live component shares — the
 //! cluster-wide [`WallClock`], the per-node [`RuntimeStats`] counters and
-//! the [`InvokeFn`] callback type — plus [`NodeRuntime`], a convenience
-//! wrapper that runs **one** node on a private single-worker
-//! [`ReactorPool`]. Clusters do not use
-//! `NodeRuntime`; they share one pool across all their nodes (see
-//! [`Cluster`](crate::Cluster)). The wrapper exists for tests and small
-//! tools that want a node without a cluster.
+//! the [`InvokeFn`] callback type. Nodes run on a
+//! [`ReactorPool`](crate::ReactorPool); clusters share one pool across all
+//! their nodes (see [`Cluster`](crate::Cluster)), and a test or small tool
+//! that wants nodes without a cluster starts them on a one-worker pool.
 //!
 //! The execution model itself (callback dispatch, the merged timer heap,
-//! command translation to the [`Transport`]) lives in
+//! command translation to the [`Transport`](crate::Transport)) lives in
 //! [`reactor`](crate::reactor); the semantics match the simulator's:
 //! `SetTimer` deadlines fire in `(deadline, insertion-seq)` order, RNGs
 //! derive from `split_mix64(seed, node)`, and [`Context::now`] reports
@@ -18,12 +16,7 @@
 //! telemetry is directly comparable between a simulated run and a live
 //! one.
 
-use crate::config::RuntimeConfig;
-use crate::reactor::ReactorPool;
-use crate::transport::{FrameSink, Transport};
-use crate::wire::WireCodec;
-use brisa_simnet::{Context, NodeId, Protocol, SimTime};
-use std::sync::mpsc;
+use brisa_simnet::{Context, Protocol, SimTime};
 use std::time::{Duration, Instant};
 
 /// A monotonic wall clock shared by every node of a cluster; `now()` is the
@@ -85,84 +78,6 @@ pub struct RuntimeStats {
     pub redials: u64,
 }
 
-/// A boxed protocol callback queued through [`NodeRuntime::invoke`] or
+/// A boxed protocol callback queued through
 /// [`ReactorPool::invoke`](crate::reactor::ReactorPool::invoke).
 pub type InvokeFn<P> = Box<dyn FnOnce(&mut P, &mut Context<'_, <P as Protocol>::Message>) + Send>;
-
-/// One live node on its own single-worker reactor.
-pub struct NodeRuntime<P: Protocol> {
-    id: NodeId,
-    pool: ReactorPool<P>,
-    reply: Option<mpsc::Receiver<Option<(P, RuntimeStats)>>>,
-}
-
-impl<P> NodeRuntime<P>
-where
-    P: Protocol + Send + 'static,
-    P::Message: WireCodec,
-{
-    /// Starts `proto` as node `id` on a fresh single-worker reactor.
-    ///
-    /// `attach` receives the node's inbound [`FrameSink`] and must return
-    /// the [`Transport`] carrying its traffic (e.g. wire the sink into a
-    /// mesh and hand back that mesh's transport). `seed` derives the
-    /// node's deterministic RNG exactly like the simulator derives
-    /// per-node streams.
-    pub fn launch(
-        id: NodeId,
-        proto: P,
-        seed: u64,
-        clock: WallClock,
-        attach: impl FnOnce(&ReactorPool<P>, Box<dyn FrameSink>) -> Box<dyn Transport>,
-    ) -> Self {
-        let cfg = RuntimeConfig {
-            workers: 1,
-            ..RuntimeConfig::default()
-        };
-        let pool = ReactorPool::new(clock, &cfg);
-        let transport = attach(&pool, pool.sink_for(id));
-        pool.start_node(id, proto, seed, transport);
-        NodeRuntime {
-            id,
-            pool,
-            reply: None,
-        }
-    }
-
-    /// The node this runtime executes.
-    pub fn id(&self) -> NodeId {
-        self.id
-    }
-
-    /// The underlying pool (for wiring TCP listeners in tests).
-    pub fn pool(&self) -> &ReactorPool<P> {
-        &self.pool
-    }
-
-    /// Queues a closure to run against the protocol on its shard.
-    pub fn invoke(&self, f: impl FnOnce(&mut P, &mut Context<'_, P::Message>) + Send + 'static) {
-        self.pool.invoke(self.id, f);
-    }
-
-    /// Asks the node to stop (asynchronously; use [`NodeRuntime::join`]).
-    pub fn stop(&mut self) {
-        if self.reply.is_none() {
-            self.reply = Some(self.pool.stop_node(self.id));
-        }
-    }
-
-    /// Stops the node if still running, shuts the reactor down and returns
-    /// the final protocol state and transfer counters.
-    ///
-    /// Panics if the node panicked (poisoning mirrors the old
-    /// thread-per-node join semantics for a crashed node).
-    pub fn join(mut self) -> (P, RuntimeStats) {
-        self.stop();
-        let reply = self.reply.take().expect("stop() was just called");
-        let state = reply
-            .recv_timeout(Duration::from_secs(10))
-            .expect("reactor worker unresponsive");
-        self.pool.shutdown();
-        state.expect("node panicked")
-    }
-}

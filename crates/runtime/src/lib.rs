@@ -69,7 +69,7 @@ pub mod wire;
 pub use chaos::{run_chaos, SoakConfig, SoakOutcome};
 pub use cluster::{Cluster, ClusterConfig, TransportKind};
 pub use config::RuntimeConfig;
-pub use executor::{NodeRuntime, RuntimeStats, WallClock};
+pub use executor::{RuntimeStats, WallClock};
 pub use loopback::{LoopbackMesh, LoopbackTransport};
 pub use reactor::ReactorPool;
 pub use report::{LiveNode, LiveResult};

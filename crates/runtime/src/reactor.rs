@@ -1502,8 +1502,8 @@ struct WorkerHandle<P: Protocol> {
 }
 
 /// The reactor: a fixed pool of worker threads, each multiplexing the
-/// nodes of its shard. Create one per cluster (or one single-worker pool
-/// per standalone [`NodeRuntime`](crate::NodeRuntime)).
+/// nodes of its shard. Create one per cluster (or a single-worker pool for
+/// a few standalone nodes).
 pub struct ReactorPool<P: Protocol> {
     workers: Vec<WorkerHandle<P>>,
     clock: WallClock,

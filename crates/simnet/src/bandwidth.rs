@@ -146,7 +146,7 @@ impl BandwidthMeter {
     }
 
     /// Folds `other` into `self`, summing per-node counters element-wise.
-    /// Used by the sharded driver to merge per-shard meters at collect
+    /// Used by the network to merge per-shard meters at collect
     /// time; each node is recorded on exactly one shard (uploads on the
     /// sender's, downloads on the destination's — both its owner), so the
     /// merge is a disjoint union in practice.

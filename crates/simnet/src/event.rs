@@ -61,8 +61,6 @@ pub(crate) enum EventKind<M> {
     LinkDown { node: NodeId, peer: NodeId },
     /// A node previously added with a start delay begins executing.
     Start { node: NodeId },
-    /// A node crashes (fail-stop).
-    Crash { node: NodeId },
 }
 
 // One `QueueImpl` exists per simulation, so the size difference between the

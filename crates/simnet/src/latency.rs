@@ -21,7 +21,7 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 
 /// A model producing the one-way latency of a message from `src` to `dst`.
-pub trait LatencyModel: Send {
+pub trait LatencyModel: Send + Sync {
     /// Samples the latency for one message transmission.
     fn sample(&self, src: NodeId, dst: NodeId, rng: &mut SmallRng) -> SimDuration;
 
@@ -33,10 +33,10 @@ pub trait LatencyModel: Send {
     }
 
     /// A hard lower bound on [`Self::sample`] over every pair: no sampled
-    /// latency is ever smaller. The sharded driver sizes its epoch window
-    /// from this bound (conservative parallel DES lookahead), so a model
-    /// that cannot promise one must return [`SimDuration::ZERO`] — which
-    /// restricts it to the sequential driver.
+    /// latency is ever smaller. A network with more than one shard sizes
+    /// its epoch window from this bound (conservative parallel DES
+    /// lookahead), so a model that cannot promise one must return
+    /// [`SimDuration::ZERO`] — which restricts it to a single shard.
     fn min_latency(&self) -> SimDuration {
         SimDuration::ZERO
     }

@@ -14,7 +14,11 @@
 //! * fail-stop crashes and delayed joins, driving churn experiments;
 //! * deterministic fault injection — per-link message loss, latency
 //!   degradation and timed network partitions ([`faults`]);
-//! * full determinism for a given seed.
+//! * one event core, partitioned by node id across `k` shards
+//!   ([`Network::with_shards`]): at `k = 1` the driver pops the one queue
+//!   inline, above that the shards run on worker threads in lock-step
+//!   epochs;
+//! * full determinism for a given seed, at every shard count.
 //!
 //! Protocols implement the sans-IO [`Protocol`] trait and interact with the
 //! world exclusively through the [`Context`] handle.
@@ -71,5 +75,4 @@ pub use network::{event_record_size, Footprint, NetStats, Network, NetworkConfig
 pub use node::NodeId;
 pub use protocol::{Command, Context, Protocol, WireSize};
 pub use sched::{SchedulerKind, TraceOp};
-pub use shard::ShardedNetwork;
 pub use time::{SimDuration, SimTime, MICROS_PER_MILLI, MICROS_PER_SEC};

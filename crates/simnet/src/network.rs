@@ -1,26 +1,31 @@
 //! The simulation driver.
 //!
 //! A [`Network`] owns every node (an instance of a type implementing
-//! [`Protocol`]), the event queue, the latency model and the bandwidth
-//! meter, and advances simulated time by processing events in order.
+//! [`Protocol`]), split across one or more shards (`crate::shard`) that
+//! hold the event queues, plus the latency model and the master RNG, and
+//! advances simulated time by processing events in order.
 //!
 //! Runs are fully deterministic: the same seed, latency model and sequence
-//! of `add_node` / `schedule_crash` calls produce bit-identical executions.
+//! of `add_node` / `crash` / `invoke` calls produce bit-identical
+//! executions, at every shard count.
 //!
 //! The hot path is built on dense, index-addressed state (see
 //! [`crate::sched`] for the timing-wheel event queue and [`crate::links`]
 //! for the adjacency/link-clock vectors); the steady-state event loop does
 //! not allocate per event.
 
-use crate::bandwidth::{BandwidthMeter, Direction, MeterMode};
-use crate::event::{EventKind, EventQueue};
-use crate::faults::{FaultConfig, FaultLayer, LinkFaults, PartitionSpec, Routed};
+use std::sync::atomic::AtomicU64;
+use std::sync::{Arc, Barrier, Mutex};
+
+use crate::bandwidth::{BandwidthMeter, MeterMode};
+use crate::event::EventKind;
+use crate::faults::{FaultConfig, LinkFaults, PartitionSpec};
 use crate::latency::LatencyModel;
-use crate::links::{Adjacency, LinkClocks};
 use crate::node::NodeId;
-use crate::protocol::{Command, Context, Protocol, WireSize};
+use crate::protocol::{Context, Protocol};
 use crate::sched::{SchedulerKind, TraceOp};
 use crate::seed::split_mix64;
+use crate::shard::{self, Relay, Shard};
 use crate::time::{SimDuration, SimTime};
 use brisa_telemetry::{EventKind as TelEventKind, Telemetry};
 use rand::rngs::SmallRng;
@@ -100,74 +105,96 @@ pub struct NetStats {
     pub events_processed: u64,
 }
 
-struct NodeSlot<P> {
-    proto: P,
-    rng: SmallRng,
-    alive: bool,
-    started: bool,
-    /// Per-node cause counter for lane-key event priorities: the n-th event
-    /// *caused* by this node gets priority `(id << 32) | n`. Together with
-    /// the event time this forms a globally unique key that depends only on
-    /// the node's own processing history — not on global push order — which
-    /// is what makes the sharded driver's event order identical to the
-    /// sequential one.
-    lane_seq: u32,
-}
-
 /// The discrete-event network simulator.
+///
+/// A `Network` owns `k` shards — the nodes, split by `id % k`, with their
+/// event queues — plus the latency model and the master RNG, and advances
+/// simulated time by processing events in order.
+/// [`Network::new`] builds one shard, whose queue `run_until` pops inline;
+/// [`Network::with_shards`] builds `k`, which run on worker threads in
+/// lock-step epochs. Every observable — stats, per-node state, FIFO
+/// clocks, bandwidth — is bit-identical at every `k` for the same
+/// configuration and seed.
+///
+/// Above one shard:
+///
+/// * the latency model must promise a positive
+///   [`LatencyModel::min_latency`]; `run_until` panics otherwise;
+/// * scheduler operation traces ([`NetworkConfig::trace_events`]) are not
+///   supported (each shard has its own queue, so a single interleaved
+///   trace does not exist); construction panics if one is requested.
 pub struct Network<P: Protocol> {
     config: NetworkConfig,
-    latency: Box<dyn LatencyModel>,
+    shards: Vec<Shard<P>>,
+    latency: Arc<dyn LatencyModel>,
     now: SimTime,
-    queue: EventQueue<P::Message>,
-    nodes: Vec<NodeSlot<P>>,
     master_rng: SmallRng,
     /// Dedicated RNG for reference-latency queries ([`Self::typical_latency`]).
     /// Derived once from the master seed, *not* from `master_rng`: drawing
     /// reference latencies must never reorder the seeds of nodes added
     /// afterwards.
     reference_rng: SmallRng,
-    bandwidth: BandwidthMeter,
-    /// Open connections as per-node sorted adjacency vectors (plus a
-    /// reverse index), iterated in fixed `NodeId` order so the simulation is
-    /// bit-identical no matter which thread runs it.
-    connections: Adjacency,
-    /// Per directed pair, the time the last message is scheduled to arrive
-    /// (used to enforce FIFO ordering); pruned in place when a node crashes.
-    link_clock: LinkClocks,
-    stats: NetStats,
-    /// Fault-injection layer, consulted between command drain and delivery
-    /// scheduling. Inert by default (one branch per send).
-    faults: FaultLayer,
-    command_buf: Vec<Command<P::Message>>,
-    /// Reused buffer for the peers notified by `process_crash`.
-    crash_buf: Vec<NodeId>,
+    /// Crashes requested since the last boundary: `(lane prio, victim)`.
+    /// The prio is drawn at `crash()` call time, from the victim's lane.
+    pending_crashes: Vec<(u64, NodeId)>,
+    /// Live `latency_factor`, tracked so the epoch lookahead can shrink
+    /// with it (a factor below 1 compresses every sampled latency).
+    link_factor: f64,
+    /// Crash applications, counted as processed events.
+    crash_events: u64,
 }
 
 impl<P: Protocol> Network<P> {
-    /// Creates a network with the given configuration and latency model.
+    /// Creates a single-shard network with the given configuration and
+    /// latency model.
     pub fn new(config: NetworkConfig, latency: Box<dyn LatencyModel>) -> Self {
+        Self::with_shards(config, latency, 1)
+    }
+
+    /// Creates a network whose nodes are partitioned across `shards`
+    /// worker shards (at least 1). The latency model is shared by all
+    /// shards (it is sampled under each shard's own node RNGs).
+    ///
+    /// # Panics
+    ///
+    /// If `shards` is 0, or above 1 with `config.trace_events` set.
+    pub fn with_shards(
+        config: NetworkConfig,
+        latency: Box<dyn LatencyModel>,
+        shards: usize,
+    ) -> Self {
+        assert!(shards >= 1, "at least one shard");
+        assert!(
+            shards == 1 || !config.trace_events,
+            "scheduler traces are not supported above one shard"
+        );
+        let latency: Arc<dyn LatencyModel> = Arc::from(latency);
         let master_rng = SmallRng::seed_from_u64(config.seed);
         let reference_rng = SmallRng::seed_from_u64(split_mix64(config.seed, 0x0DD5_EED5));
-        let queue = EventQueue::new(config.scheduler, config.trace_events);
-        let faults = FaultLayer::new(config.seed, config.faults.clone());
-        let bandwidth = BandwidthMeter::with_mode(config.meter);
+        let link_factor = config.faults.link.latency_factor;
         Network {
+            shards: (0..shards)
+                .map(|s| Shard::new(s, shards, &config, Arc::clone(&latency)))
+                .collect(),
             config,
             latency,
             now: SimTime::ZERO,
-            queue,
-            nodes: Vec::new(),
             master_rng,
             reference_rng,
-            bandwidth,
-            connections: Adjacency::default(),
-            link_clock: LinkClocks::default(),
-            stats: NetStats::default(),
-            faults,
-            command_buf: Vec::new(),
-            crash_buf: Vec::new(),
+            pending_crashes: Vec::new(),
+            link_factor,
+            crash_events: 0,
         }
+    }
+
+    /// Number of shards.
+    pub fn shards(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// The shard owning `id`.
+    fn owner(&self, id: NodeId) -> usize {
+        shard::owner(id, self.shards.len())
     }
 
     /// Replaces the live per-link fault profile (loss rate, jitter, latency
@@ -175,7 +202,10 @@ impl<P: Protocol> Network<P> {
     /// Experiment harnesses use this to switch faults on at a scheduled
     /// point of the run (e.g. stream start).
     pub fn set_link_faults(&mut self, link: LinkFaults) {
-        self.faults.set_link_faults(link);
+        self.link_factor = link.latency_factor;
+        for shard in &mut self.shards {
+            shard.faults.set_link_faults(link.clone());
+        }
     }
 
     /// Installs a timed partition at runtime, in addition to any configured
@@ -190,7 +220,9 @@ impl<P: Protocol> Network<P> {
             spec.start.as_micros(),
             spec.end.as_micros(),
         );
-        self.faults.add_partition(spec);
+        for shard in &mut self.shards {
+            shard.faults.add_partition(spec.clone());
+        }
     }
 
     /// Current simulated time.
@@ -198,34 +230,50 @@ impl<P: Protocol> Network<P> {
         self.now
     }
 
-    /// Simulator-level statistics.
-    pub fn stats(&self) -> &NetStats {
-        &self.stats
+    /// Simulator-level statistics, summed across shards (crash
+    /// applications count as processed events).
+    pub fn stats(&self) -> NetStats {
+        let mut total = NetStats {
+            events_processed: self.crash_events,
+            ..NetStats::default()
+        };
+        for shard in &self.shards {
+            let s = &shard.stats;
+            total.messages_sent += s.messages_sent;
+            total.messages_delivered += s.messages_delivered;
+            total.messages_dropped += s.messages_dropped;
+            total.messages_lost_to_faults += s.messages_lost_to_faults;
+            total.messages_cut_by_partition += s.messages_cut_by_partition;
+            total.events_processed += s.events_processed;
+        }
+        total
     }
 
-    /// The bandwidth meter.
-    pub fn bandwidth(&self) -> &BandwidthMeter {
-        &self.bandwidth
+    /// The bandwidth meter, merged across shards. Each node's counters live
+    /// entirely on its owner shard (uploads are recorded sender-side,
+    /// downloads destination-side), so the merge is a disjoint union.
+    pub fn bandwidth(&self) -> BandwidthMeter {
+        let mut merged = BandwidthMeter::with_mode(self.config.meter);
+        for shard in &self.shards {
+            merged.absorb(&shard.bandwidth);
+        }
+        merged
     }
 
     /// Number of nodes ever added (dead or alive).
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.shards[0].node_count()
     }
 
     /// True if `id` exists and has not crashed.
     pub fn is_alive(&self, id: NodeId) -> bool {
-        self.nodes.get(id.index()).map(|n| n.alive).unwrap_or(false)
+        self.shards[0].is_alive(id)
     }
 
     /// Iterator over the identifiers of all live nodes, in ascending order.
     /// Allocation-free; prefer this over [`Self::alive_ids`] in hot loops.
     pub fn alive_iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.alive)
-            .map(|(i, _)| NodeId(i as u32))
+        self.shards[0].alive_iter()
     }
 
     /// Identifiers of all live nodes, collected into a fresh vector.
@@ -235,14 +283,7 @@ impl<P: Protocol> Network<P> {
 
     /// Immutable access to the protocol state of `id`.
     pub fn node(&self, id: NodeId) -> Option<&P> {
-        self.nodes.get(id.index()).map(|n| &n.proto)
-    }
-
-    /// Mutable access to the protocol state of `id`. Intended for experiment
-    /// harnesses (e.g. to inject an application-level publish); protocol
-    /// logic itself should only run through simulator callbacks.
-    pub fn node_mut(&mut self, id: NodeId) -> Option<&mut P> {
-        self.nodes.get_mut(id.index()).map(|n| &mut n.proto)
+        self.shards[self.owner(id)].node(id)
     }
 
     /// Adds a node immediately. The builder receives the identifier the node
@@ -252,72 +293,30 @@ impl<P: Protocol> Network<P> {
     }
 
     /// Adds a node whose `on_start` runs at `start` (which must not be in
-    /// the past).
+    /// the past). Seeds are drawn from the master RNG in global add order,
+    /// so per-node streams do not depend on the shard count.
     pub fn add_node_at(&mut self, start: SimTime, build: impl FnOnce(NodeId) -> P) -> NodeId {
         assert!(start >= self.now, "cannot start a node in the past");
-        let id = NodeId(self.nodes.len() as u32);
+        let id = NodeId(self.node_count() as u32);
         let seed: u64 = self.master_rng.gen();
-        self.add_node_with_seed(id, start, seed, build);
+        let owner = self.owner(id);
+        for (s, shard) in self.shards.iter_mut().enumerate() {
+            if s != owner {
+                shard.set_alive(id, true);
+            }
+        }
+        self.shards[owner].add_owned(id, start, seed, build);
         id
     }
 
-    /// Adds a node with an explicit identifier and RNG seed. This is the
-    /// seam the sharded driver uses: it draws seeds from its own master RNG
-    /// in global `add_node` order and hands each shard the `(id, seed)`
-    /// pair, so per-node streams match the sequential run exactly.
-    pub(crate) fn add_node_with_seed(
-        &mut self,
-        id: NodeId,
-        start: SimTime,
-        seed: u64,
-        build: impl FnOnce(NodeId) -> P,
-    ) {
-        assert_eq!(
-            id.index(),
-            self.nodes.len(),
-            "node ids must be added densely"
-        );
-        self.nodes.push(NodeSlot {
-            proto: build(id),
-            rng: SmallRng::seed_from_u64(seed),
-            alive: true,
-            started: false,
-            lane_seq: 0,
-        });
-        self.bandwidth.ensure(id);
-        let prio = self.lane_key(id);
-        self.queue.push(start, prio, EventKind::Start { node: id });
-    }
-
-    /// Draws the next lane-key priority for an event caused by `lane`: the
-    /// causing node's id in the high 32 bits, its cause counter in the low
-    /// 32. Unknown lanes (e.g. a crash scheduled for a node never added)
-    /// get counter 0 — such events are ignored at processing time anyway.
-    fn lane_key(&mut self, lane: NodeId) -> u64 {
-        let hi = (lane.0 as u64) << 32;
-        match self.nodes.get_mut(lane.index()) {
-            Some(slot) => {
-                let key = hi | slot.lane_seq as u64;
-                slot.lane_seq = slot.lane_seq.wrapping_add(1);
-                key
-            }
-            None => hi,
-        }
-    }
-
-    /// Crashes `id` immediately (fail-stop). Connected peers learn about it
-    /// after the configured failure-detection delay.
+    /// Crashes `id` at the current instant (fail-stop), applied at the
+    /// start of the next `run_until`. The node stays alive (and invokable)
+    /// until then; connected peers learn about the crash after the
+    /// configured failure-detection delay.
     pub fn crash(&mut self, id: NodeId) {
-        let at = self.now;
-        let prio = self.lane_key(id);
-        self.queue.push(at, prio, EventKind::Crash { node: id });
-    }
-
-    /// Schedules a crash of `id` at time `at`.
-    pub fn schedule_crash(&mut self, id: NodeId, at: SimTime) {
-        assert!(at >= self.now, "cannot schedule a crash in the past");
-        let prio = self.lane_key(id);
-        self.queue.push(at, prio, EventKind::Crash { node: id });
+        let owner = self.owner(id);
+        let prio = self.shards[owner].lane_key(id);
+        self.pending_crashes.push((prio, id));
     }
 
     /// Runs an application-level closure against a node *through the
@@ -327,320 +326,75 @@ impl<P: Protocol> Network<P> {
     /// `on_start` has not yet run (a node that has not joined cannot
     /// originate traffic, exactly like `Deliver` refuses them input).
     pub fn invoke(&mut self, id: NodeId, f: impl FnOnce(&mut P, &mut Context<'_, P::Message>)) {
-        if !self.is_alive(id) || !self.nodes[id.index()].started {
+        let owner = self.owner(id);
+        let shard = &mut self.shards[owner];
+        if !shard.is_alive(id) || !shard.started(id) {
             return;
         }
-        self.dispatch(id, f);
+        shard.now = self.now;
+        shard.dispatch(id, f);
+        self.route_outboxes();
     }
 
-    /// Processes events until the queue is empty or `deadline` is reached.
-    /// Returns the time of the last processed event.
-    pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
-            }
-            let ev = self.queue.pop().expect("peeked event must exist");
-            self.now = ev.time;
-            self.stats.events_processed += 1;
-            self.process(ev.item);
-        }
-        if self.now < deadline {
-            self.now = deadline;
-        }
-        self.publish_telemetry();
-        self.now
-    }
-
-    /// Runs for `d` more simulated time.
-    pub fn run_for(&mut self, d: SimDuration) -> SimTime {
-        let deadline = self.now + d;
-        self.run_until(deadline)
-    }
-
-    /// Runs until no events remain or `max` is reached. Useful for letting a
-    /// dissemination quiesce.
-    pub fn run_to_quiescence(&mut self, max: SimTime) -> SimTime {
-        while let Some(t) = self.queue.peek_time() {
-            if t > max {
-                break;
-            }
-            let ev = self.queue.pop().expect("peeked event must exist");
-            self.now = ev.time;
-            self.stats.events_processed += 1;
-            self.process(ev.item);
-        }
-        self.publish_telemetry();
-        self.now
-    }
-
-    /// Publishes simulator health to an attached telemetry registry, once
-    /// per `run_*` call. Out-of-band by construction: it only *reads*
-    /// simulator state, so enabled and disabled runs stay bit-identical.
-    fn publish_telemetry(&self) {
-        let tel = &self.config.telemetry;
-        if !tel.is_enabled() {
-            return;
-        }
-        tel.gauge("sim.sched_occupancy")
-            .set(self.queue.len() as u64);
-        tel.gauge("sim.events_processed")
-            .set(self.stats.events_processed);
-        tel.gauge("sim.messages_delivered")
-            .set(self.stats.messages_delivered);
-        tel.gauge("sim.now_us").set(self.now.as_micros());
-    }
-
-    /// Number of pending events (mostly useful in tests).
+    /// Number of pending events across all shard queues.
     pub fn pending_events(&self) -> usize {
-        self.queue.len()
-    }
-
-    fn process(&mut self, kind: EventKind<P::Message>) {
-        match kind {
-            EventKind::Start { node } => {
-                if !self.is_alive(node) {
-                    return;
-                }
-                self.nodes[node.index()].started = true;
-                self.dispatch(node, |proto, ctx| proto.on_start(ctx));
-            }
-            EventKind::Deliver {
-                from,
-                to,
-                msg,
-                size,
-            } => {
-                if !self.is_alive(to) || !self.nodes[to.index()].started {
-                    self.stats.messages_dropped += 1;
-                    return;
-                }
-                self.bandwidth
-                    .record(to, Direction::Download, size, self.now);
-                self.stats.messages_delivered += 1;
-                self.dispatch(to, |proto, ctx| proto.on_message(ctx, from, msg));
-            }
-            EventKind::Timer { node, tag } => {
-                if !self.is_alive(node) {
-                    return;
-                }
-                self.dispatch(node, |proto, ctx| proto.on_timer(ctx, tag));
-            }
-            EventKind::LinkDown { node, peer } => {
-                // Only notify if the connection is still considered open.
-                if !self.is_alive(node) || !self.connections.contains(node, peer) {
-                    return;
-                }
-                self.connections.remove(node, peer);
-                self.dispatch(node, |proto, ctx| proto.on_link_down(ctx, peer));
-            }
-            EventKind::Crash { node } => self.process_crash(node),
-        }
-    }
-
-    fn process_crash(&mut self, node: NodeId) {
-        if !self.is_alive(node) {
-            return;
-        }
-        self.nodes[node.index()].alive = false;
-        // Peers with an open connection to the crashed node detect the
-        // failure after the detection delay. The reverse adjacency index
-        // yields them directly in O(degree); the buffer is reused across
-        // crashes.
-        let detect_at = self.now + self.config.failure_detection_delay;
-        self.crash_buf.clear();
-        self.crash_buf
-            .extend_from_slice(self.connections.incoming_of(node));
-        for i in 0..self.crash_buf.len() {
-            let owner = self.crash_buf[i];
-            // The crashed node is the lane: `incoming_of` yields owners in
-            // ascending id order, so these draws are a deterministic
-            // function of the crash itself.
-            let prio = self.lane_key(node);
-            self.queue.push(
-                detect_at,
-                prio,
-                EventKind::LinkDown {
-                    node: owner,
-                    peer: node,
-                },
-            );
-        }
-        // Drop the crashed node's own connections, FIFO link clocks and
-        // fault-layer draw counters so long churn runs do not accumulate
-        // state for dead nodes.
-        self.connections.clear_outgoing(node);
-        self.link_clock.prune(node);
-        self.faults.prune(node);
+        self.shards.iter().map(|s| s.queue.len()).sum()
     }
 
     /// Number of directed FIFO link clocks currently tracked. Exposed so
     /// tests can assert that crash pruning keeps the table bounded.
     pub fn tracked_link_clocks(&self) -> usize {
-        self.link_clock.tracked_links()
+        self.shards
+            .iter()
+            .map(|s| s.link_clock.tracked_links())
+            .sum()
     }
 
     /// Capacity of `sender`'s link-clock storage. Test hook: asserts that
     /// crash pruning clears in place instead of reallocating.
     pub fn link_clock_capacity(&self, sender: NodeId) -> usize {
-        self.link_clock.slot_capacity(sender)
+        self.shards[self.owner(sender)]
+            .link_clock
+            .slot_capacity(sender)
     }
 
     /// Snapshot of every tracked FIFO link clock as `(sender, dest, last
     /// scheduled arrival)`, in `(sender, dest)` order. Diagnostic hook for
     /// the online invariant checkers (per-link clocks must be monotone over
-    /// a run).
+    /// a run). A sender's clocks live only on its owner shard, so the merge
+    /// is a sort of disjoint per-shard snapshots.
     pub fn link_clock_entries(&self) -> Vec<(NodeId, NodeId, SimTime)> {
-        self.link_clock
-            .entries()
-            .map(|(s, d, t)| (s, d, *t))
-            .collect()
+        let mut all: Vec<(NodeId, NodeId, SimTime)> = self
+            .shards
+            .iter()
+            .flat_map(|s| s.link_clock.entries().map(|(s, d, t)| (s, d, *t)))
+            .collect();
+        all.sort_unstable_by_key(|&(s, d, _)| (s, d));
+        all
     }
 
     /// Takes the recorded scheduler operation trace. Empty unless
     /// [`NetworkConfig::trace_events`] was set; intended for benches that
     /// replay real workloads through a scheduler in isolation.
     pub fn take_event_trace(&mut self) -> Vec<TraceOp> {
-        self.queue.take_trace()
-    }
-
-    fn dispatch(&mut self, id: NodeId, f: impl FnOnce(&mut P, &mut Context<'_, P::Message>)) {
-        let slot = &mut self.nodes[id.index()];
-        let mut commands = std::mem::take(&mut self.command_buf);
-        commands.clear();
-        {
-            let mut ctx = Context {
-                now: self.now,
-                id,
-                rng: &mut slot.rng,
-                commands: &mut commands,
-                telemetry: &self.config.telemetry,
-            };
-            f(&mut slot.proto, &mut ctx);
-        }
-        let drained = self.apply_commands(id, commands);
-        self.command_buf = drained;
-    }
-
-    /// Applies the commands a callback issued. Commands are consumed by
-    /// value: a `Send` moves its message straight into the event queue, so
-    /// fanning a payload out to many peers costs whatever the protocol paid
-    /// to build each message (an `Arc` clone for BRISA data) and nothing
-    /// more. Returns the emptied vector for reuse.
-    fn apply_commands(
-        &mut self,
-        origin: NodeId,
-        mut commands: Vec<Command<P::Message>>,
-    ) -> Vec<Command<P::Message>> {
-        for cmd in commands.drain(..) {
-            match cmd {
-                Command::Send { to, msg } => {
-                    let size = msg.wire_size();
-                    self.stats.messages_sent += 1;
-                    self.bandwidth
-                        .record(origin, Direction::Upload, size, self.now);
-                    let latency = {
-                        let rng = &mut self.nodes[origin.index()].rng;
-                        self.latency.sample(origin, to, rng)
-                    };
-                    // The fault layer sits between command drain and
-                    // delivery scheduling. The sender has already paid the
-                    // upload bandwidth: a lost message went onto the wire,
-                    // it just never arrives. Loss/jitter draws come from the
-                    // layer's own per-link split-seed PRF, so the node RNG
-                    // stream above is identical with or without faults.
-                    let mut deliver_at = self.now + latency;
-                    if !self.faults.is_inert() {
-                        match self.faults.route(origin, to, self.now, latency) {
-                            Routed::Deliver(at) => deliver_at = at,
-                            Routed::LostToFaults => {
-                                self.stats.messages_lost_to_faults += 1;
-                                continue;
-                            }
-                            Routed::CutByPartition => {
-                                self.stats.messages_cut_by_partition += 1;
-                                continue;
-                            }
-                        }
-                    }
-                    // FIFO clocks are only tracked towards live destinations:
-                    // a delivery to a dead node is dropped on arrival, so its
-                    // ordering is irrelevant — and re-inserting a clock that
-                    // `process_crash` just pruned would leak one entry per
-                    // (sender, dead peer) pair for the rest of the run. The
-                    // failure-detection window, where senders still relay to
-                    // a crashed peer, hits exactly this path.
-                    if self.config.fifo_links && self.is_alive(to) {
-                        let clock = self.link_clock.entry(origin, to);
-                        if deliver_at < *clock {
-                            deliver_at = *clock + SimDuration::from_micros(1);
-                        }
-                        *clock = deliver_at;
-                    }
-                    let prio = self.lane_key(origin);
-                    self.queue.push(
-                        deliver_at,
-                        prio,
-                        EventKind::Deliver {
-                            from: origin,
-                            to,
-                            msg,
-                            size,
-                        },
-                    );
-                }
-                Command::SetTimer { delay, tag } => {
-                    let prio = self.lane_key(origin);
-                    self.queue.push(
-                        self.now + delay,
-                        prio,
-                        EventKind::Timer { node: origin, tag },
-                    );
-                }
-                Command::OpenConnection { peer } => {
-                    self.connections.insert(origin, peer);
-                    // Connecting to a node that is already dead — or across
-                    // an active partition cut, whose handshake traffic is
-                    // blackholed — fails after the detection delay, like a
-                    // TCP connect timeout.
-                    if !self.is_alive(peer)
-                        || (!self.faults.is_inert() && self.faults.is_cut(self.now, origin, peer))
-                    {
-                        let prio = self.lane_key(origin);
-                        self.queue.push(
-                            self.now + self.config.failure_detection_delay,
-                            prio,
-                            EventKind::LinkDown { node: origin, peer },
-                        );
-                    }
-                }
-                Command::CloseConnection { peer } => {
-                    self.connections.remove(origin, peer);
-                }
-            }
-        }
-        commands
+        self.shards[0].queue.take_trace()
     }
 
     /// The accounting-based memory footprint of the simulation right now
-    /// (see [`Footprint`]). O(nodes); intended for end-of-run sampling by
-    /// the scale benches, not for the event loop.
+    /// (see [`Footprint`]), summed across shards. O(nodes); intended for
+    /// end-of-run sampling by the scale benches, not for the event loop.
     pub fn footprint(&self) -> Footprint {
-        let slot_overhead = std::mem::size_of::<NodeSlot<P>>() - std::mem::size_of::<P>();
-        Footprint {
-            nodes: self.nodes.len(),
-            node_state_bytes: self
-                .nodes
-                .iter()
-                .map(|n| n.proto.approx_state_bytes() + slot_overhead)
-                .sum(),
-            // Each pending entry carries the event record plus its
-            // `(time, prio, sequence)` sort key.
-            queue_bytes: self.queue.len() * (event_record_size::<P>() + 24),
-            adjacency_bytes: self.connections.approx_bytes(),
-            link_clock_bytes: self.link_clock.approx_bytes(),
-            bandwidth_bytes: self.bandwidth.approx_bytes(),
+        let mut total = Footprint::default();
+        for shard in &self.shards {
+            let f = shard.footprint();
+            total.node_state_bytes += f.node_state_bytes;
+            total.queue_bytes += f.queue_bytes;
+            total.adjacency_bytes += f.adjacency_bytes;
+            total.link_clock_bytes += f.link_clock_bytes;
+            total.bandwidth_bytes += f.bandwidth_bytes;
         }
+        total.nodes = self.node_count();
+        total
     }
 
     /// One-way "typical" latency between a pair according to the latency
@@ -652,6 +406,241 @@ impl<P: Protocol> Network<P> {
     pub fn typical_latency(&mut self, src: NodeId, dst: NodeId) -> SimDuration {
         let rng = &mut self.reference_rng;
         self.latency.typical(src, dst, rng)
+    }
+
+    /// Processes events until `deadline`, then sets the clock to it.
+    /// Returns the new current time.
+    ///
+    /// # Panics
+    ///
+    /// Above one shard, if the effective lookahead is below 1 µs — a
+    /// latency model without a positive `min_latency` (or a
+    /// `latency_factor` that erases it) admits zero-delay cross-shard
+    /// causality, which only a single shard can honour.
+    pub fn run_until(&mut self, deadline: SimTime) -> SimTime
+    where
+        P: Send,
+        P::Message: Send,
+    {
+        assert!(deadline >= self.now, "deadline is in the past");
+        self.drain_boundary();
+        if let [shard] = self.shards.as_mut_slice() {
+            shard.run_window(deadline);
+        } else {
+            self.run_epochs(deadline);
+        }
+        self.now = deadline;
+        for shard in &mut self.shards {
+            shard.now = deadline;
+        }
+        self.publish_telemetry();
+        self.now
+    }
+
+    /// Runs for `d` more simulated time.
+    pub fn run_for(&mut self, d: SimDuration) -> SimTime
+    where
+        P: Send,
+        P::Message: Send,
+    {
+        let deadline = self.now + d;
+        self.run_until(deadline)
+    }
+
+    /// The epoch lookahead: the latency model's hard lower bound, shrunk
+    /// by the live `latency_factor` when it compresses latencies (the
+    /// fault layer rounds exactly like this, and rounding is monotone, so
+    /// the result remains a true lower bound on every delivery delay).
+    fn lookahead(&self) -> SimDuration {
+        let base = self.latency.min_latency();
+        if self.link_factor < 1.0 {
+            let scaled = (base.as_micros() as f64 * self.link_factor.max(0.0)).round() as u64;
+            SimDuration::from_micros(scaled)
+        } else {
+            base
+        }
+    }
+
+    /// Runs every shard on its own worker thread, in causally closed
+    /// epochs, up to `deadline`.
+    fn run_epochs(&mut self, deadline: SimTime)
+    where
+        P: Send,
+        P::Message: Send,
+    {
+        let lookahead = self.lookahead();
+        assert!(
+            lookahead >= SimDuration::from_micros(1),
+            "sharded runs need a positive minimum latency \
+             (LatencyModel::min_latency × latency_factor ≥ 1µs); \
+             use a single shard for this model"
+        );
+        let deadline_us = deadline.as_micros();
+        let lookahead_us = lookahead.as_micros();
+        let shards = self.shards.len();
+        let mins: Vec<AtomicU64> = (0..shards).map(|_| AtomicU64::new(u64::MAX)).collect();
+        let inboxes: Vec<Mutex<Vec<Relay<P::Message>>>> =
+            (0..shards).map(|_| Mutex::new(Vec::new())).collect();
+        let barrier = Barrier::new(shards);
+        std::thread::scope(|scope| {
+            for shard in self.shards.iter_mut() {
+                let mins = &mins;
+                let inboxes = &inboxes;
+                let barrier = &barrier;
+                scope.spawn(move || {
+                    shard.run_epochs(deadline_us, lookahead_us, mins, inboxes, barrier)
+                });
+            }
+        });
+    }
+
+    /// Sequentially drains every event at exactly the current instant —
+    /// pending crashes, starts of nodes added "now", zero-delay timers —
+    /// merging the per-shard queue heads with the pending crash list in
+    /// global priority order. Loops until the instant is dry (processing
+    /// can mint more same-instant events). A single shard without pending
+    /// crashes skips it: its inline loop pops the same events in the same
+    /// order.
+    fn drain_boundary(&mut self) {
+        if self.shards.len() == 1 && self.pending_crashes.is_empty() {
+            return;
+        }
+        let boundary = self.now;
+        self.pending_crashes.sort_by_key(|&(prio, _)| prio);
+        let crashes = std::mem::take(&mut self.pending_crashes);
+        let mut crash_idx = 0;
+        loop {
+            // Pop each shard's head if it sits at the boundary instant.
+            let mut held = Vec::with_capacity(self.shards.len());
+            for (s, shard) in self.shards.iter_mut().enumerate() {
+                if shard.queue.peek_time() == Some(boundary) {
+                    held.push((s, shard.queue.pop().expect("peeked event must exist")));
+                }
+            }
+            let event_best = held
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, (_, ev))| ev.prio)
+                .map(|(i, (_, ev))| (i, ev.prio));
+            let crash_best = crashes.get(crash_idx).map(|&(prio, _)| prio);
+            let winner = match (event_best, crash_best) {
+                (None, None) => break,
+                (Some((i, ep)), Some(cp)) if ep <= cp => Some(i),
+                (Some((i, _)), None) => Some(i),
+                (_, Some(_)) => None,
+            };
+            // Push every other held head back (priorities are preserved,
+            // and they alone determine order), then run the winner.
+            let mut run = None;
+            for (i, (s, ev)) in held.into_iter().enumerate() {
+                if Some(i) == winner {
+                    run = Some((s, ev));
+                } else {
+                    self.shards[s].queue.push(ev.time, ev.prio, ev.item);
+                }
+            }
+            match run {
+                Some((s, ev)) => {
+                    let shard = &mut self.shards[s];
+                    shard.now = boundary;
+                    shard.stats.events_processed += 1;
+                    shard.process(ev.item);
+                    self.route_outboxes();
+                }
+                None => {
+                    let (_, victim) = crashes[crash_idx];
+                    crash_idx += 1;
+                    self.apply_crash(victim);
+                }
+            }
+        }
+    }
+
+    /// Applies one crash (fail-stop). Peers with an open connection to the
+    /// victim detect the failure after the detection delay; the lane draws
+    /// happen on the victim's owner shard, whose reverse adjacency index is
+    /// authoritative (every remote edge towards the victim was mirrored
+    /// there). The liveness flip and the prunes are replicated everywhere,
+    /// so long churn runs do not accumulate state for dead nodes.
+    fn apply_crash(&mut self, victim: NodeId) {
+        self.crash_events += 1;
+        if !self.is_alive(victim) {
+            return;
+        }
+        let owner = self.owner(victim);
+        let detect_at = self.now + self.config.failure_detection_delay;
+        let notified: Vec<NodeId> = self.shards[owner].connections.incoming_of(victim).to_vec();
+        for peer in notified {
+            let prio = self.shards[owner].lane_key(victim);
+            let dest = self.owner(peer);
+            self.shards[dest].queue.push(
+                detect_at,
+                prio,
+                EventKind::LinkDown {
+                    node: peer,
+                    peer: victim,
+                },
+            );
+        }
+        for shard in &mut self.shards {
+            shard.set_alive(victim, false);
+            shard.connections.clear_outgoing(victim);
+            shard.link_clock.prune(victim);
+            shard.faults.prune(victim);
+        }
+    }
+
+    /// Routes every pending outbox relay directly (single-threaded; used
+    /// by the boundary drain and `invoke`, where the driver holds all
+    /// shards).
+    fn route_outboxes(&mut self) {
+        let shards = self.shards.len();
+        for s in 0..shards {
+            for d in 0..shards {
+                if d == s {
+                    continue;
+                }
+                let relays = std::mem::take(&mut self.shards[s].outbox[d]);
+                for relay in relays {
+                    self.shards[d].apply_relay(relay);
+                }
+            }
+        }
+    }
+
+    /// Publishes simulator health to an attached telemetry registry, once
+    /// per `run_until` call, plus one occupancy census record per shard
+    /// above one shard. Out-of-band by construction: it only *reads*
+    /// simulator state, so enabled and disabled runs stay bit-identical.
+    fn publish_telemetry(&self) {
+        let tel = &self.config.telemetry;
+        if !tel.is_enabled() {
+            return;
+        }
+        let stats = self.stats();
+        tel.gauge("sim.sched_occupancy")
+            .set(self.pending_events() as u64);
+        tel.gauge("sim.events_processed")
+            .set(stats.events_processed);
+        tel.gauge("sim.messages_delivered")
+            .set(stats.messages_delivered);
+        tel.gauge("sim.now_us").set(self.now.as_micros());
+        if self.shards.len() == 1 {
+            return;
+        }
+        tel.gauge("sim.shards").set(self.shards.len() as u64);
+        for (s, shard) in self.shards.iter().enumerate() {
+            // Reuses the reactor's queue-census taxonomy: `node` is the
+            // shard index, `a` its queue occupancy, `b` events processed.
+            tel.event_on_shard(
+                s,
+                self.now.as_micros(),
+                s as u32,
+                TelEventKind::WriteQueueDepth,
+                shard.queue.len() as u64,
+                shard.stats.events_processed,
+            );
+        }
     }
 }
 
@@ -674,7 +663,7 @@ pub struct Footprint {
     /// Nodes ever added (dead slots included — their storage remains).
     pub nodes: usize,
     /// Sum of the per-node protocol-state estimates plus the slot overhead
-    /// (RNG, flags).
+    /// (RNG, flags) and the per-shard liveness replicas.
     pub node_state_bytes: usize,
     /// Pending event records in the scheduler.
     pub queue_bytes: usize,
@@ -711,6 +700,7 @@ mod tests {
     use super::*;
     use crate::event::TimerTag;
     use crate::latency::FixedLatency;
+    use crate::protocol::WireSize;
 
     /// A tiny ping protocol used to exercise the simulator.
     #[derive(Debug)]
@@ -836,7 +826,7 @@ mod tests {
             let a = net.add_node(|_| Pinger::new(None));
             let _b = net.add_node(move |_| Pinger::new(Some(a)));
             net.run_until(SimTime::from_secs(1));
-            net.stats().clone()
+            net.stats()
         };
         let s1 = run();
         let s2 = run();
@@ -1017,7 +1007,7 @@ mod tests {
             net.crash(b);
             net.run_until(SimTime::from_secs(2));
             (
-                net.stats().clone(),
+                net.stats(),
                 net.node(a).unwrap().received.clone(),
                 net.node(c).unwrap().received.clone(),
             )
@@ -1063,7 +1053,7 @@ mod tests {
                 }
             });
             net.run_until(SimTime::from_secs(1));
-            (net.stats().clone(), net.node(a).unwrap().received.len())
+            (net.stats(), net.node(a).unwrap().received.len())
         };
         let (stats, received) = run(0.2);
         assert!(

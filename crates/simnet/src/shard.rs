@@ -1,11 +1,13 @@
-//! The sharded deterministic simulation driver.
+//! The event core: one shard of a simulation.
 //!
-//! [`ShardedNetwork`] partitions the nodes of one simulation across `k`
-//! shards by id (`owner(id) = id % k`) and runs each shard's event queue on
-//! its own worker thread, in lock-step epochs. The result is **bit-identical**
-//! to the sequential [`crate::Network`] run with the same seed: every
-//! protocol callback sees the same RNG stream, the same message order and
-//! the same timestamps.
+//! A [`crate::Network`] partitions its nodes across `k` shards by id
+//! (`owner(id) = id % k`). A [`Shard`] owns its slice of the nodes plus
+//! replicas of the shared state its events read, and it is the only place
+//! simulator events are processed. At `k = 1` the one shard owns every node
+//! and the driver pops its queue inline; at `k > 1` every shard runs its
+//! queue on a worker thread in lock-step epochs. Either way the run is
+//! **bit-identical** for a given seed: every protocol callback sees the
+//! same RNG stream, the same message order and the same timestamps.
 //!
 //! # Why determinism holds
 //!
@@ -17,34 +19,33 @@
 //!    `(time, prio)` is already a total order over all events of a run —
 //!    the order cross-shard deliveries are appended to a mailbox is
 //!    irrelevant, because the destination queue re-establishes the exact
-//!    sequential order from the key alone.
+//!    order from the key alone.
 //!
-//! 2. **Conservative lookahead windows.** Cross-shard influence travels
-//!    only through messages, and every message takes at least
-//!    [`crate::latency::LatencyModel::min_latency`] (scaled down by the
-//!    live `latency_factor` when it shrinks latencies). Each epoch, all
+//! 2. **Conservative lookahead windows** (`k > 1` only). Cross-shard
+//!    influence travels only through messages, and every message takes at
+//!    least [`crate::latency::LatencyModel::min_latency`] (scaled down by
+//!    the live `latency_factor` when it shrinks latencies). Each epoch, all
 //!    shards agree on the global minimum pending timestamp `m` and process
 //!    only events with `t ≤ m + L − 1µs`; any event a remote shard could
 //!    still produce lands at `≥ m + L`, strictly beyond the window. The
 //!    windows are therefore causally closed, and mailbox exchange happens
 //!    at a barrier between windows. Models that cannot promise a positive
-//!    bound (`min_latency() == 0`) are refused.
+//!    bound (`min_latency() == 0`) are refused above one shard.
 //!
 //! 3. **A sequential boundary drain.** Driver operations (`invoke`,
 //!    `crash`, `add_node`) happen between `run_until` calls, at the
 //!    current instant. Events at exactly that instant — starts, zero-delay
-//!    timers, pending crashes — can interleave with each other in
-//!    prio order *and mutate shared state* (a crash flips liveness on all
+//!    timers, pending crashes — can interleave with each other in prio
+//!    order *and mutate shared state* (a crash flips liveness on all
 //!    shards), so the driver drains that single instant sequentially,
 //!    merging the per-shard queue heads and the pending crash list by
-//!    priority, before the threaded epochs begin.
+//!    priority, before the shards run on.
 //!
-//! Per-shard state that must agree with the sequential run is either
-//! *owned* (protocol state, RNG, FIFO clocks and fault counters of a
-//! node's outgoing links live only on its owner shard) or *replicated
-//! with deterministic updates* (liveness flips only in the boundary
-//! drain; adjacency mutations are mirrored to the other endpoint's shard
-//! at the epoch barrier, where they are reads-free until the next
+//! Per-shard state is either *owned* (protocol state, RNG, FIFO clocks and
+//! fault counters of a node's outgoing links live only on its owner shard)
+//! or *replicated with deterministic updates* (liveness flips only in the
+//! boundary drain; adjacency mutations are mirrored to the other endpoint's
+//! shard at the epoch barrier, where they are reads-free until the next
 //! boundary).
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -52,23 +53,40 @@ use std::sync::{Arc, Barrier, Mutex};
 
 use crate::bandwidth::{BandwidthMeter, Direction};
 use crate::event::{EventKind, EventQueue};
-use crate::faults::{FaultLayer, LinkFaults, PartitionSpec, Routed};
+use crate::faults::{FaultLayer, Routed};
 use crate::latency::LatencyModel;
 use crate::links::{Adjacency, LinkClocks};
 use crate::network::{event_record_size, Footprint, NetStats, NetworkConfig};
 use crate::node::NodeId;
 use crate::protocol::{Command, Context, Protocol, WireSize};
-use crate::seed::split_mix64;
 use crate::time::{SimDuration, SimTime};
-use brisa_telemetry::EventKind as TelEventKind;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
+
+/// The shard owning `id` among `k`. The division is skipped at `k = 1`,
+/// which keeps it off the single-shard hot path.
+pub(crate) fn owner(id: NodeId, k: usize) -> usize {
+    if k == 1 {
+        0
+    } else {
+        id.index() % k
+    }
+}
+
+/// Index of `id` in its owner shard's dense slot vector.
+fn local(id: NodeId, k: usize) -> usize {
+    if k == 1 {
+        id.index()
+    } else {
+        id.index() / k
+    }
+}
 
 /// Cross-shard mailbox item: either an event for the destination shard's
 /// queue or an adjacency mirror notification (every mutation of an edge
 /// whose endpoints live on different shards is replayed on the other
 /// endpoint's shard, so `incoming_of` and `clear_outgoing` stay exact).
-enum Relay<M> {
+pub(crate) enum Relay<M> {
     Event {
         time: SimTime,
         prio: u64,
@@ -84,62 +102,63 @@ enum Relay<M> {
     },
 }
 
-/// Protocol state of one owned node (dense, indexed by `id / shards`).
-struct ShardSlot<P> {
+/// Protocol state of one owned node (dense, at `id / k`).
+struct Slot<P> {
     proto: P,
     rng: SmallRng,
     started: bool,
-    /// Per-node cause counter for lane-key priorities; identical to the
-    /// sequential driver's counter because every draw for this lane happens
-    /// on this shard, in the same causal order.
+    /// Per-node cause counter for lane-key priorities: the n-th event
+    /// *caused* by this node gets priority `(id << 32) | n`. Every draw for
+    /// this lane happens on this shard, in causal order, so the counter —
+    /// and with it the event order — does not depend on the shard count.
     lane_seq: u32,
 }
 
 /// One shard: the slice of nodes it owns plus replicas of the shared
 /// state its events read.
-struct ShardCore<P: Protocol> {
-    shard: usize,
-    shards: usize,
+pub(crate) struct Shard<P: Protocol> {
+    index: usize,
+    count: usize,
     config: NetworkConfig,
-    latency: Arc<dyn LatencyModel + Send + Sync>,
-    now: SimTime,
-    queue: EventQueue<P::Message>,
-    /// Owned nodes, dense at `id / shards`.
-    slots: Vec<ShardSlot<P>>,
+    latency: Arc<dyn LatencyModel>,
+    pub(crate) now: SimTime,
+    pub(crate) queue: EventQueue<P::Message>,
+    /// Owned nodes, dense at `id / k`.
+    slots: Vec<Slot<P>>,
     /// Replicated liveness for *all* nodes; flips only in the boundary
     /// drain, so mid-epoch reads are stable and identical on every shard.
     alive: Vec<bool>,
     /// Global-id-space adjacency. Out-lists of owned nodes are
     /// authoritative; edges with a remote endpoint are mirrored onto that
     /// endpoint's shard so its reverse index stays exact.
-    connections: Adjacency,
+    pub(crate) connections: Adjacency,
     /// FIFO clocks of owned senders (a sender's clocks live only here).
-    link_clock: LinkClocks,
+    pub(crate) link_clock: LinkClocks,
     /// Fault-layer replica. Draw counters are per directed link and only
     /// bumped on the sender's shard, so replicas never disagree on a draw.
-    faults: FaultLayer,
-    bandwidth: BandwidthMeter,
-    stats: NetStats,
+    pub(crate) faults: FaultLayer,
+    pub(crate) bandwidth: BandwidthMeter,
+    pub(crate) stats: NetStats,
     command_buf: Vec<Command<P::Message>>,
     /// Per-destination-shard outbound relays, exchanged at the epoch
-    /// barrier (drained immediately by the driver during boundary drains).
-    outbox: Vec<Vec<Relay<P::Message>>>,
+    /// barrier (routed immediately by the driver between epochs).
+    pub(crate) outbox: Vec<Vec<Relay<P::Message>>>,
 }
 
-impl<P: Protocol> ShardCore<P> {
-    fn new(
-        shard: usize,
-        shards: usize,
+impl<P: Protocol> Shard<P> {
+    pub(crate) fn new(
+        index: usize,
+        count: usize,
         config: &NetworkConfig,
-        latency: Arc<dyn LatencyModel + Send + Sync>,
+        latency: Arc<dyn LatencyModel>,
     ) -> Self {
-        ShardCore {
-            shard,
-            shards,
+        Shard {
+            index,
+            count,
             config: config.clone(),
             latency,
             now: SimTime::ZERO,
-            queue: EventQueue::new(config.scheduler, false),
+            queue: EventQueue::new(config.scheduler, config.trace_events),
             slots: Vec::new(),
             alive: Vec::new(),
             connections: Adjacency::default(),
@@ -148,44 +167,52 @@ impl<P: Protocol> ShardCore<P> {
             bandwidth: BandwidthMeter::with_mode(config.meter),
             stats: NetStats::default(),
             command_buf: Vec::new(),
-            outbox: (0..shards).map(|_| Vec::new()).collect(),
+            outbox: (0..count).map(|_| Vec::new()).collect(),
         }
     }
 
     fn owns(&self, id: NodeId) -> bool {
-        id.index() % self.shards == self.shard
+        owner(id, self.count) == self.index
     }
 
-    fn shard_of(&self, id: NodeId) -> usize {
-        id.index() % self.shards
+    /// Nodes ever added, on any shard (the liveness replica is global).
+    pub(crate) fn node_count(&self) -> usize {
+        self.alive.len()
     }
 
-    fn is_alive(&self, id: NodeId) -> bool {
+    pub(crate) fn is_alive(&self, id: NodeId) -> bool {
         self.alive.get(id.index()).copied().unwrap_or(false)
     }
 
-    fn set_alive(&mut self, id: NodeId, val: bool) {
+    pub(crate) fn set_alive(&mut self, id: NodeId, val: bool) {
         if self.alive.len() <= id.index() {
             self.alive.resize(id.index() + 1, false);
         }
         self.alive[id.index()] = val;
     }
 
-    fn started(&self, id: NodeId) -> bool {
+    /// Identifiers of all live nodes, ascending.
+    pub(crate) fn alive_iter(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.alive
+            .iter()
+            .enumerate()
+            .filter(|(_, alive)| **alive)
+            .map(|(i, _)| NodeId(i as u32))
+    }
+
+    pub(crate) fn started(&self, id: NodeId) -> bool {
         self.slots
-            .get(id.index() / self.shards)
-            .map(|s| s.started)
-            .unwrap_or(false)
+            .get(local(id, self.count))
+            .is_some_and(|s| s.started)
     }
 
-    /// Registers a node owned by another shard (liveness replica only).
-    fn register_remote(&mut self, id: NodeId) {
-        self.set_alive(id, true);
+    /// Protocol state of an owned node.
+    pub(crate) fn node(&self, id: NodeId) -> Option<&P> {
+        self.slots.get(local(id, self.count)).map(|s| &s.proto)
     }
 
-    /// Adds a node this shard owns; mirrors
-    /// `Network::add_node_with_seed` exactly.
-    fn add_owned(
+    /// Adds a node this shard owns: seeds its RNG and queues its start.
+    pub(crate) fn add_owned(
         &mut self,
         id: NodeId,
         start: SimTime,
@@ -193,11 +220,11 @@ impl<P: Protocol> ShardCore<P> {
         build: impl FnOnce(NodeId) -> P,
     ) {
         assert_eq!(
-            id.index() / self.shards,
+            local(id, self.count),
             self.slots.len(),
             "node ids must be added densely"
         );
-        self.slots.push(ShardSlot {
+        self.slots.push(Slot {
             proto: build(id),
             rng: SmallRng::seed_from_u64(seed),
             started: false,
@@ -209,13 +236,16 @@ impl<P: Protocol> ShardCore<P> {
         self.queue.push(start, prio, EventKind::Start { node: id });
     }
 
-    /// Identical to `Network::lane_key`: the causing node's id in the high
-    /// bits, its cause counter in the low bits. Only ever called for lanes
-    /// this shard owns (every event's cause is processed on its owner).
-    fn lane_key(&mut self, lane: NodeId) -> u64 {
+    /// Draws the next lane-key priority for an event caused by `lane`: the
+    /// causing node's id in the high 32 bits, its cause counter in the low
+    /// 32. Only ever called for lanes this shard owns (every event's cause
+    /// is processed on its owner); unknown lanes (e.g. a crash requested
+    /// for a node never added) get counter 0 — such events are ignored at
+    /// processing time anyway.
+    pub(crate) fn lane_key(&mut self, lane: NodeId) -> u64 {
         let hi = (lane.0 as u64) << 32;
-        if lane.index() % self.shards == self.shard {
-            if let Some(slot) = self.slots.get_mut(lane.index() / self.shards) {
+        if self.owns(lane) {
+            if let Some(slot) = self.slots.get_mut(local(lane, self.count)) {
                 let key = hi | slot.lane_seq as u64;
                 slot.lane_seq = slot.lane_seq.wrapping_add(1);
                 return key;
@@ -225,8 +255,8 @@ impl<P: Protocol> ShardCore<P> {
     }
 
     /// Applies one mailbox item delivered at an epoch barrier (or routed
-    /// directly by the driver during a boundary drain).
-    fn apply_relay(&mut self, relay: Relay<P::Message>) {
+    /// directly by the driver between epochs).
+    pub(crate) fn apply_relay(&mut self, relay: Relay<P::Message>) {
         match relay {
             Relay::Event { time, prio, kind } => self.queue.push(time, prio, kind),
             Relay::Open { owner, peer } => self.connections.insert(owner, peer),
@@ -234,15 +264,35 @@ impl<P: Protocol> ShardCore<P> {
         }
     }
 
-    /// Processes one event; the body mirrors `Network::process` with
-    /// cross-shard edge mutations mirrored through the outbox.
-    fn process(&mut self, kind: EventKind<P::Message>) {
+    /// Queues an adjacency mirror for `peer`'s shard if it is not this one.
+    fn mirror(&mut self, peer: NodeId, relay: impl FnOnce() -> Relay<P::Message>) {
+        if !self.owns(peer) {
+            let dest = owner(peer, self.count);
+            self.outbox[dest].push(relay());
+        }
+    }
+
+    /// Processes every queued event up to and including `bound`.
+    pub(crate) fn run_window(&mut self, bound: SimTime) {
+        while let Some(t) = self.queue.peek_time() {
+            if t > bound {
+                break;
+            }
+            let ev = self.queue.pop().expect("peeked event must exist");
+            self.now = ev.time;
+            self.stats.events_processed += 1;
+            self.process(ev.item);
+        }
+    }
+
+    /// Processes one event.
+    pub(crate) fn process(&mut self, kind: EventKind<P::Message>) {
         match kind {
             EventKind::Start { node } => {
                 if !self.is_alive(node) {
                     return;
                 }
-                self.slots[node.index() / self.shards].started = true;
+                self.slots[local(node, self.count)].started = true;
                 self.dispatch(node, |proto, ctx| proto.on_start(ctx));
             }
             EventKind::Deliver {
@@ -267,26 +317,25 @@ impl<P: Protocol> ShardCore<P> {
                 self.dispatch(node, |proto, ctx| proto.on_timer(ctx, tag));
             }
             EventKind::LinkDown { node, peer } => {
+                // Only notify if the connection is still considered open.
                 if !self.is_alive(node) || !self.connections.contains(node, peer) {
                     return;
                 }
                 self.connections.remove(node, peer);
-                if !self.owns(peer) {
-                    let dest = self.shard_of(peer);
-                    self.outbox[dest].push(Relay::Close { owner: node, peer });
-                }
+                self.mirror(peer, || Relay::Close { owner: node, peer });
                 self.dispatch(node, |proto, ctx| proto.on_link_down(ctx, peer));
-            }
-            EventKind::Crash { .. } => {
-                // Crashes never enter a shard queue: the driver applies
-                // them in the boundary drain.
-                debug_assert!(false, "crash event in a shard queue");
             }
         }
     }
 
-    fn dispatch(&mut self, id: NodeId, f: impl FnOnce(&mut P, &mut Context<'_, P::Message>)) {
-        let slot = &mut self.slots[id.index() / self.shards];
+    /// Runs one protocol callback of owned node `id` and applies the
+    /// commands it issued.
+    pub(crate) fn dispatch(
+        &mut self,
+        id: NodeId,
+        f: impl FnOnce(&mut P, &mut Context<'_, P::Message>),
+    ) {
+        let slot = &mut self.slots[local(id, self.count)];
         let mut commands = std::mem::take(&mut self.command_buf);
         commands.clear();
         {
@@ -303,8 +352,12 @@ impl<P: Protocol> ShardCore<P> {
         self.command_buf = drained;
     }
 
-    /// Mirrors `Network::apply_commands`, routing cross-shard deliveries
-    /// and edge mirrors through the outbox.
+    /// Applies the commands a callback issued. Commands are consumed by
+    /// value: a `Send` moves its message straight into the event queue (or
+    /// the destination shard's outbox), so fanning a payload out to many
+    /// peers costs whatever the protocol paid to build each message (an
+    /// `Arc` clone for BRISA data) and nothing more. Returns the emptied
+    /// vector for reuse.
     fn apply_commands(
         &mut self,
         origin: NodeId,
@@ -318,9 +371,15 @@ impl<P: Protocol> ShardCore<P> {
                     self.bandwidth
                         .record(origin, Direction::Upload, size, self.now);
                     let latency = {
-                        let rng = &mut self.slots[origin.index() / self.shards].rng;
+                        let rng = &mut self.slots[local(origin, self.count)].rng;
                         self.latency.sample(origin, to, rng)
                     };
+                    // The fault layer sits between command drain and
+                    // delivery scheduling. The sender has already paid the
+                    // upload bandwidth: a lost message went onto the wire,
+                    // it just never arrives. Loss/jitter draws come from the
+                    // layer's own per-link split-seed PRF, so the node RNG
+                    // stream above is identical with or without faults.
                     let mut deliver_at = self.now + latency;
                     if !self.faults.is_inert() {
                         match self.faults.route(origin, to, self.now, latency) {
@@ -335,6 +394,13 @@ impl<P: Protocol> ShardCore<P> {
                             }
                         }
                     }
+                    // FIFO clocks are only tracked towards live destinations:
+                    // a delivery to a dead node is dropped on arrival, so its
+                    // ordering is irrelevant — and re-inserting a clock that
+                    // the crash just pruned would leak one entry per
+                    // (sender, dead peer) pair for the rest of the run. The
+                    // failure-detection window, where senders still relay to
+                    // a crashed peer, hits exactly this path.
                     if self.config.fifo_links && self.is_alive(to) {
                         let clock = self.link_clock.entry(origin, to);
                         if deliver_at < *clock {
@@ -352,7 +418,7 @@ impl<P: Protocol> ShardCore<P> {
                     if self.owns(to) {
                         self.queue.push(deliver_at, prio, kind);
                     } else {
-                        let dest = self.shard_of(to);
+                        let dest = owner(to, self.count);
                         self.outbox[dest].push(Relay::Event {
                             time: deliver_at,
                             prio,
@@ -370,13 +436,14 @@ impl<P: Protocol> ShardCore<P> {
                 }
                 Command::OpenConnection { peer } => {
                     self.connections.insert(origin, peer);
-                    if !self.owns(peer) {
-                        let dest = self.shard_of(peer);
-                        self.outbox[dest].push(Relay::Open {
-                            owner: origin,
-                            peer,
-                        });
-                    }
+                    self.mirror(peer, || Relay::Open {
+                        owner: origin,
+                        peer,
+                    });
+                    // Connecting to a node that is already dead — or across
+                    // an active partition cut, whose handshake traffic is
+                    // blackholed — fails after the detection delay, like a
+                    // TCP connect timeout.
                     if !self.is_alive(peer)
                         || (!self.faults.is_inert() && self.faults.is_cut(self.now, origin, peer))
                     {
@@ -390,24 +457,21 @@ impl<P: Protocol> ShardCore<P> {
                 }
                 Command::CloseConnection { peer } => {
                     self.connections.remove(origin, peer);
-                    if !self.owns(peer) {
-                        let dest = self.shard_of(peer);
-                        self.outbox[dest].push(Relay::Close {
-                            owner: origin,
-                            peer,
-                        });
-                    }
+                    self.mirror(peer, || Relay::Close {
+                        owner: origin,
+                        peer,
+                    });
                 }
             }
         }
         commands
     }
 
-    /// The threaded epoch loop of one shard. All shards execute identical
-    /// control flow: publish local minimum, agree on the global minimum at
-    /// a barrier, process the causally closed window, exchange mailboxes
-    /// at a second barrier, drain the own inbox, repeat.
-    fn run_epochs(
+    /// The threaded epoch loop of one shard (`k > 1`). All shards execute
+    /// identical control flow: publish local minimum, agree on the global
+    /// minimum at a barrier, process the causally closed window, exchange
+    /// mailboxes at a second barrier, drain the own inbox, repeat.
+    pub(crate) fn run_epochs(
         &mut self,
         deadline_us: u64,
         lookahead_us: u64,
@@ -421,7 +485,7 @@ impl<P: Protocol> ShardCore<P> {
                 .peek_time()
                 .map(|t| t.as_micros())
                 .unwrap_or(u64::MAX);
-            mins[self.shard].store(local_min, Ordering::SeqCst);
+            mins[self.index].store(local_min, Ordering::SeqCst);
             barrier.wait();
             let global_min = mins
                 .iter()
@@ -433,20 +497,11 @@ impl<P: Protocol> ShardCore<P> {
                 // shard exits here in the same round: no barrier skew.
                 break;
             }
-            let bound = SimTime::from_micros(
+            self.run_window(SimTime::from_micros(
                 deadline_us.min(global_min.saturating_add(lookahead_us).saturating_sub(1)),
-            );
-            while let Some(t) = self.queue.peek_time() {
-                if t > bound {
-                    break;
-                }
-                let ev = self.queue.pop().expect("peeked event must exist");
-                self.now = ev.time;
-                self.stats.events_processed += 1;
-                self.process(ev.item);
-            }
+            ));
             for (dest, inbox) in inboxes.iter().enumerate() {
-                if dest == self.shard || self.outbox[dest].is_empty() {
+                if dest == self.index || self.outbox[dest].is_empty() {
                     continue;
                 }
                 inbox
@@ -455,15 +510,17 @@ impl<P: Protocol> ShardCore<P> {
                     .append(&mut self.outbox[dest]);
             }
             barrier.wait();
-            let inbox = std::mem::take(&mut *inboxes[self.shard].lock().expect("inbox lock"));
+            let inbox = std::mem::take(&mut *inboxes[self.index].lock().expect("inbox lock"));
             for relay in inbox {
                 self.apply_relay(relay);
             }
         }
     }
 
-    fn footprint(&self) -> Footprint {
-        let slot_overhead = std::mem::size_of::<ShardSlot<P>>() - std::mem::size_of::<P>();
+    /// This shard's share of the accounting-based footprint (`nodes`
+    /// counts the owned slots).
+    pub(crate) fn footprint(&self) -> Footprint {
+        let slot_overhead = std::mem::size_of::<Slot<P>>() - std::mem::size_of::<P>();
         Footprint {
             nodes: self.slots.len(),
             node_state_bytes: self
@@ -472,6 +529,8 @@ impl<P: Protocol> ShardCore<P> {
                 .map(|n| n.proto.approx_state_bytes() + slot_overhead)
                 .sum::<usize>()
                 + self.alive.capacity(),
+            // Each pending entry carries the event record plus its
+            // `(time, prio, sequence)` sort key.
             queue_bytes: self.queue.len() * (event_record_size::<P>() + 24),
             adjacency_bytes: self.connections.approx_bytes(),
             link_clock_bytes: self.link_clock.approx_bytes(),
@@ -480,511 +539,15 @@ impl<P: Protocol> ShardCore<P> {
     }
 }
 
-/// A deterministic simulation sharded across worker threads.
-///
-/// Drop-in alternative to [`crate::Network`] for the boundary-driven
-/// experiment harness: nodes are added, invoked and crashed between
-/// `run_until` calls, and every observable — stats, per-node state, FIFO
-/// clocks, bandwidth — is bit-identical to the sequential run with the
-/// same configuration and seed.
-///
-/// Differences from [`crate::Network`]:
-///
-/// * The latency model is shared by all shards and must promise a positive
-///   [`LatencyModel::min_latency`]; `run_until` panics otherwise.
-/// * Scheduler operation traces ([`NetworkConfig::trace_events`]) are not
-///   supported (each shard has its own queue, so a single interleaved
-///   trace does not exist); construction panics if requested.
-/// * Crashes are applied at `run_until` boundaries (the harness only
-///   crashes there); there is no `schedule_crash`.
-pub struct ShardedNetwork<P: Protocol> {
-    config: NetworkConfig,
-    cores: Vec<ShardCore<P>>,
-    latency: Arc<dyn LatencyModel + Send + Sync>,
-    now: SimTime,
-    node_count: usize,
-    master_rng: SmallRng,
-    reference_rng: SmallRng,
-    /// Driver liveness mirror (flips at crash application, like every
-    /// shard replica).
-    alive: Vec<bool>,
-    /// Crashes requested since the last boundary: `(lane prio, victim)`.
-    /// The prio is drawn at `crash()` call time, exactly when the
-    /// sequential driver draws it for the crash event push.
-    pending_crashes: Vec<(u64, NodeId)>,
-    /// Live `latency_factor`, tracked so the epoch lookahead can shrink
-    /// with it (a factor below 1 compresses every sampled latency).
-    link_factor: f64,
-    /// Crash applications, counted as processed events like the
-    /// sequential driver's crash-event pops.
-    crash_events: u64,
-}
-
-impl<P: Protocol + Send> ShardedNetwork<P>
-where
-    P::Message: Send,
-{
-    /// Creates a sharded network. `shards` must be at least 1; the latency
-    /// model is shared (it is sampled under each shard's own node RNGs).
-    ///
-    /// # Panics
-    ///
-    /// If `config.trace_events` is set (unsupported, see type docs).
-    pub fn new(
-        config: NetworkConfig,
-        latency: Arc<dyn LatencyModel + Send + Sync>,
-        shards: usize,
-    ) -> Self {
-        assert!(shards >= 1, "at least one shard");
-        assert!(
-            !config.trace_events,
-            "scheduler traces are not supported by the sharded driver"
-        );
-        let master_rng = SmallRng::seed_from_u64(config.seed);
-        let reference_rng = SmallRng::seed_from_u64(split_mix64(config.seed, 0x0DD5_EED5));
-        let cores = (0..shards)
-            .map(|s| ShardCore::new(s, shards, &config, Arc::clone(&latency)))
-            .collect();
-        let link_factor = config.faults.link.latency_factor;
-        ShardedNetwork {
-            config,
-            cores,
-            latency,
-            now: SimTime::ZERO,
-            node_count: 0,
-            master_rng,
-            reference_rng,
-            alive: Vec::new(),
-            pending_crashes: Vec::new(),
-            link_factor,
-            crash_events: 0,
-        }
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.cores.len()
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of nodes ever added (dead or alive).
-    pub fn node_count(&self) -> usize {
-        self.node_count
-    }
-
-    /// True if `id` exists and has not crashed.
-    pub fn is_alive(&self, id: NodeId) -> bool {
-        self.alive.get(id.index()).copied().unwrap_or(false)
-    }
-
-    /// Iterator over the identifiers of all live nodes, ascending.
-    pub fn alive_iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.alive
-            .iter()
-            .enumerate()
-            .filter(|(_, alive)| **alive)
-            .map(|(i, _)| NodeId(i as u32))
-    }
-
-    /// Identifiers of all live nodes, collected into a fresh vector.
-    pub fn alive_ids(&self) -> Vec<NodeId> {
-        self.alive_iter().collect()
-    }
-
-    /// Immutable access to the protocol state of `id`.
-    pub fn node(&self, id: NodeId) -> Option<&P> {
-        let owner = id.index() % self.cores.len();
-        self.cores[owner]
-            .slots
-            .get(id.index() / self.cores.len())
-            .map(|s| &s.proto)
-    }
-
-    /// Mutable access to the protocol state of `id` (harness hook).
-    pub fn node_mut(&mut self, id: NodeId) -> Option<&mut P> {
-        let shards = self.cores.len();
-        let owner = id.index() % shards;
-        self.cores[owner]
-            .slots
-            .get_mut(id.index() / shards)
-            .map(|s| &mut s.proto)
-    }
-
-    /// Adds a node immediately (its `on_start` runs at the current time).
-    pub fn add_node(&mut self, build: impl FnOnce(NodeId) -> P) -> NodeId {
-        self.add_node_at(self.now, build)
-    }
-
-    /// Adds a node whose `on_start` runs at `start`. Seeds are drawn from
-    /// the master RNG in global add order, so per-node streams match the
-    /// sequential run exactly.
-    pub fn add_node_at(&mut self, start: SimTime, build: impl FnOnce(NodeId) -> P) -> NodeId {
-        assert!(start >= self.now, "cannot start a node in the past");
-        let id = NodeId(self.node_count as u32);
-        let seed: u64 = self.master_rng.gen();
-        self.node_count += 1;
-        self.alive.push(true);
-        let owner = id.index() % self.cores.len();
-        for (s, core) in self.cores.iter_mut().enumerate() {
-            if s != owner {
-                core.register_remote(id);
-            }
-        }
-        self.cores[owner].add_owned(id, start, seed, build);
-        id
-    }
-
-    /// Crashes `id` at the current instant (fail-stop), applied in the
-    /// next `run_until`'s boundary drain. Like the sequential driver, the
-    /// node stays alive (and invokable) until the crash event's instant is
-    /// processed; the lane-key draw happens now, at push time.
-    pub fn crash(&mut self, id: NodeId) {
-        let owner = id.index() % self.cores.len();
-        let prio = self.cores[owner].lane_key(id);
-        self.pending_crashes.push((prio, id));
-    }
-
-    /// Runs an application-level closure against a node through the
-    /// simulator (see [`crate::Network::invoke`]). Ignored for dead or
-    /// not-yet-started nodes.
-    pub fn invoke(&mut self, id: NodeId, f: impl FnOnce(&mut P, &mut Context<'_, P::Message>)) {
-        if !self.is_alive(id) {
-            return;
-        }
-        let owner = id.index() % self.cores.len();
-        if !self.cores[owner].started(id) {
-            return;
-        }
-        self.cores[owner].now = self.now;
-        self.cores[owner].dispatch(id, f);
-        self.route_outboxes();
-    }
-
-    /// Replaces the live per-link fault profile on every shard.
-    pub fn set_link_faults(&mut self, link: LinkFaults) {
-        self.link_factor = link.latency_factor;
-        for core in &mut self.cores {
-            core.faults.set_link_faults(link.clone());
-        }
-    }
-
-    /// Installs a timed partition at runtime on every shard.
-    pub fn add_partition(&mut self, spec: PartitionSpec) {
-        assert!(spec.end > self.now, "partition healed in the past");
-        self.config.telemetry.event(
-            self.now.as_micros(),
-            u32::MAX,
-            TelEventKind::PartitionApply,
-            spec.start.as_micros(),
-            spec.end.as_micros(),
-        );
-        for core in &mut self.cores {
-            core.faults.add_partition(spec.clone());
-        }
-    }
-
-    /// The epoch lookahead: the latency model's hard lower bound, shrunk
-    /// by the live `latency_factor` when it compresses latencies (the
-    /// fault layer rounds exactly like this, and rounding is monotone, so
-    /// the result remains a true lower bound on every delivery delay).
-    fn lookahead(&self) -> SimDuration {
-        let base = self.latency.min_latency();
-        if self.link_factor < 1.0 {
-            let scaled = (base.as_micros() as f64 * self.link_factor.max(0.0)).round() as u64;
-            SimDuration::from_micros(scaled)
-        } else {
-            base
-        }
-    }
-
-    /// Processes events until `deadline`, then sets the clock to it.
-    ///
-    /// # Panics
-    ///
-    /// If the effective lookahead is below 1 µs — a latency model without
-    /// a positive `min_latency` (or a `latency_factor` that erases it)
-    /// admits zero-delay cross-shard causality, which only the sequential
-    /// driver can honour.
-    pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
-        assert!(deadline >= self.now, "deadline is in the past");
-        self.drain_boundary();
-        let lookahead = self.lookahead();
-        assert!(
-            lookahead >= SimDuration::from_micros(1),
-            "sharded runs need a positive minimum latency \
-             (LatencyModel::min_latency × latency_factor ≥ 1µs); \
-             use the sequential driver for this model"
-        );
-        let deadline_us = deadline.as_micros();
-        let lookahead_us = lookahead.as_micros();
-        let shards = self.cores.len();
-        let mins: Vec<AtomicU64> = (0..shards).map(|_| AtomicU64::new(u64::MAX)).collect();
-        let inboxes: Vec<Mutex<Vec<Relay<P::Message>>>> =
-            (0..shards).map(|_| Mutex::new(Vec::new())).collect();
-        let barrier = Barrier::new(shards);
-        std::thread::scope(|scope| {
-            for core in self.cores.iter_mut() {
-                let mins = &mins;
-                let inboxes = &inboxes;
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    core.run_epochs(deadline_us, lookahead_us, mins, inboxes, barrier)
-                });
-            }
-        });
-        self.now = deadline;
-        for core in &mut self.cores {
-            core.now = deadline;
-        }
-        self.publish_telemetry();
-        self.now
-    }
-
-    /// Runs for `d` more simulated time.
-    pub fn run_for(&mut self, d: SimDuration) -> SimTime {
-        let deadline = self.now + d;
-        self.run_until(deadline)
-    }
-
-    /// Sequentially drains every event at exactly the current instant —
-    /// pending crashes, starts of nodes added "now", zero-delay timers —
-    /// merging the per-shard queue heads with the pending crash list in
-    /// global priority order, exactly as the sequential queue would pop
-    /// them. Loops until the instant is dry (processing can mint more
-    /// same-instant events).
-    fn drain_boundary(&mut self) {
-        let boundary = self.now;
-        self.pending_crashes.sort_by_key(|&(prio, _)| prio);
-        let crashes = std::mem::take(&mut self.pending_crashes);
-        let mut crash_idx = 0;
-        loop {
-            // Pop each shard's head if it sits at the boundary instant.
-            let shards = self.cores.len();
-            let mut held = Vec::with_capacity(shards);
-            for s in 0..shards {
-                if self.cores[s].queue.peek_time() == Some(boundary) {
-                    let ev = self.cores[s].queue.pop().expect("peeked event must exist");
-                    held.push((s, ev));
-                }
-            }
-            let event_best = held
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, ev))| ev.prio)
-                .map(|(i, (_, ev))| (i, ev.prio));
-            let crash_best = crashes.get(crash_idx).map(|&(prio, _)| prio);
-            let winner_is_crash = match (event_best, crash_best) {
-                (None, None) => {
-                    debug_assert!(held.is_empty());
-                    break;
-                }
-                (None, Some(_)) => true,
-                (Some(_), None) => false,
-                (Some((_, ep)), Some(cp)) => cp < ep,
-            };
-            if winner_is_crash {
-                // Push every held head back (priorities are preserved, and
-                // they alone determine order) and apply the crash.
-                for (s, ev) in held {
-                    self.cores[s].queue.push(ev.time, ev.prio, ev.item);
-                }
-                let (_, victim) = crashes[crash_idx];
-                crash_idx += 1;
-                self.apply_crash(victim);
-            } else {
-                let (win, _) = event_best.expect("event winner");
-                let mut winner = None;
-                for (i, (s, ev)) in held.into_iter().enumerate() {
-                    if i == win {
-                        winner = Some((s, ev));
-                    } else {
-                        self.cores[s].queue.push(ev.time, ev.prio, ev.item);
-                    }
-                }
-                let (s, ev) = winner.expect("winner held");
-                self.cores[s].now = boundary;
-                self.cores[s].stats.events_processed += 1;
-                self.cores[s].process(ev.item);
-                self.route_outboxes();
-            }
-        }
-    }
-
-    /// Applies one crash: mirrors `Network::process_crash`, with the lane
-    /// draws on the victim's owner shard and the liveness flip + prunes
-    /// replicated everywhere.
-    fn apply_crash(&mut self, victim: NodeId) {
-        self.crash_events += 1;
-        if !self.is_alive(victim) {
-            return;
-        }
-        self.alive[victim.index()] = false;
-        let shards = self.cores.len();
-        let owner = victim.index() % shards;
-        let detect_at = self.now + self.config.failure_detection_delay;
-        // The victim's shard holds the authoritative reverse index (every
-        // remote edge towards the victim was mirrored here).
-        let notified: Vec<NodeId> = self.cores[owner].connections.incoming_of(victim).to_vec();
-        for peer in notified {
-            let prio = self.cores[owner].lane_key(victim);
-            let dest = peer.index() % shards;
-            self.cores[dest].queue.push(
-                detect_at,
-                prio,
-                EventKind::LinkDown {
-                    node: peer,
-                    peer: victim,
-                },
-            );
-        }
-        for core in &mut self.cores {
-            core.set_alive(victim, false);
-            core.connections.clear_outgoing(victim);
-            core.link_clock.prune(victim);
-            core.faults.prune(victim);
-        }
-    }
-
-    /// Routes every pending outbox relay directly (single-threaded; used
-    /// by the boundary drain and `invoke`, where the driver holds all
-    /// shards).
-    fn route_outboxes(&mut self) {
-        let shards = self.cores.len();
-        for s in 0..shards {
-            for d in 0..shards {
-                if d == s {
-                    continue;
-                }
-                let relays = std::mem::take(&mut self.cores[s].outbox[d]);
-                for relay in relays {
-                    self.cores[d].apply_relay(relay);
-                }
-            }
-        }
-    }
-
-    /// Merged simulator statistics (sums across shards, plus crash
-    /// applications counted as processed events like the sequential
-    /// driver's crash-event pops).
-    pub fn stats(&self) -> NetStats {
-        let mut total = NetStats {
-            events_processed: self.crash_events,
-            ..NetStats::default()
-        };
-        for core in &self.cores {
-            total.messages_sent += core.stats.messages_sent;
-            total.messages_delivered += core.stats.messages_delivered;
-            total.messages_dropped += core.stats.messages_dropped;
-            total.messages_lost_to_faults += core.stats.messages_lost_to_faults;
-            total.messages_cut_by_partition += core.stats.messages_cut_by_partition;
-            total.events_processed += core.stats.events_processed;
-        }
-        total
-    }
-
-    /// Merged bandwidth meter. Each node's counters live entirely on its
-    /// owner shard (uploads are recorded sender-side, downloads
-    /// destination-side), so the merge is a disjoint union.
-    pub fn bandwidth(&self) -> BandwidthMeter {
-        let mut merged = BandwidthMeter::with_mode(self.config.meter);
-        for core in &self.cores {
-            merged.absorb(&core.bandwidth);
-        }
-        merged
-    }
-
-    /// Snapshot of every tracked FIFO link clock, in `(sender, dest)`
-    /// order. A sender's clocks live only on its owner shard, so the
-    /// merge is a sort of disjoint per-shard snapshots.
-    pub fn link_clock_entries(&self) -> Vec<(NodeId, NodeId, SimTime)> {
-        let mut all: Vec<(NodeId, NodeId, SimTime)> = self
-            .cores
-            .iter()
-            .flat_map(|c| c.link_clock.entries().map(|(s, d, t)| (s, d, *t)))
-            .collect();
-        all.sort_unstable_by_key(|&(s, d, _)| (s, d));
-        all
-    }
-
-    /// Number of directed FIFO link clocks currently tracked.
-    pub fn tracked_link_clocks(&self) -> usize {
-        self.cores
-            .iter()
-            .map(|c| c.link_clock.tracked_links())
-            .sum()
-    }
-
-    /// Number of pending events across all shard queues.
-    pub fn pending_events(&self) -> usize {
-        self.cores.iter().map(|c| c.queue.len()).sum()
-    }
-
-    /// Accounting-based memory footprint, summed across shards.
-    pub fn footprint(&self) -> Footprint {
-        let mut total = Footprint::default();
-        for core in &self.cores {
-            let f = core.footprint();
-            total.node_state_bytes += f.node_state_bytes;
-            total.queue_bytes += f.queue_bytes;
-            total.adjacency_bytes += f.adjacency_bytes;
-            total.link_clock_bytes += f.link_clock_bytes;
-            total.bandwidth_bytes += f.bandwidth_bytes;
-        }
-        total.nodes = self.node_count;
-        total
-    }
-
-    /// One-way "typical" latency between a pair (see
-    /// [`crate::Network::typical_latency`]); draws from the driver's own
-    /// reference RNG, never a node stream.
-    pub fn typical_latency(&mut self, src: NodeId, dst: NodeId) -> SimDuration {
-        let rng = &mut self.reference_rng;
-        self.latency.typical(src, dst, rng)
-    }
-
-    /// Publishes merged simulator health plus one per-shard occupancy
-    /// census record per `run_until`. Out-of-band: reads only.
-    fn publish_telemetry(&self) {
-        let tel = &self.config.telemetry;
-        if !tel.is_enabled() {
-            return;
-        }
-        let stats = self.stats();
-        tel.gauge("sim.sched_occupancy")
-            .set(self.pending_events() as u64);
-        tel.gauge("sim.events_processed")
-            .set(stats.events_processed);
-        tel.gauge("sim.messages_delivered")
-            .set(stats.messages_delivered);
-        tel.gauge("sim.now_us").set(self.now.as_micros());
-        tel.gauge("sim.shards").set(self.cores.len() as u64);
-        for (s, core) in self.cores.iter().enumerate() {
-            // Reuses the reactor's queue-census taxonomy: `node` is the
-            // shard index, `a` its queue occupancy, `b` events processed.
-            tel.event_on_shard(
-                s,
-                self.now.as_micros(),
-                s as u32,
-                TelEventKind::WriteQueueDepth,
-                core.queue.len() as u64,
-                core.stats.events_processed,
-            );
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::TimerTag;
-    use crate::faults::{FaultConfig, PartitionMode};
+    use crate::faults::{FaultConfig, LinkFaults, PartitionMode, PartitionSpec};
     use crate::latency::{ClusterLatency, FixedLatency};
     use crate::network::Network;
     use crate::sched::SchedulerKind;
+    use rand::Rng;
 
     /// A chatty protocol that exercises every divergence-prone path: RNG
     /// draws in callbacks, fan-out sends, timers, connection churn.
@@ -1060,129 +623,62 @@ mod tests {
         ]
     }
 
-    /// Drives a scripted scenario against either driver and fingerprints
-    /// every observable.
-    trait Driver {
-        fn add(&mut self, at: Option<SimTime>, peers: Vec<NodeId>) -> NodeId;
-        fn run_until(&mut self, t: SimTime);
-        fn invoke_send(&mut self, id: NodeId, to: NodeId, v: u8);
-        fn crash(&mut self, id: NodeId);
-        fn set_faults(&mut self, link: LinkFaults);
-        fn partition(&mut self, spec: PartitionSpec);
-        fn fingerprint(&self, n: u32) -> String;
-    }
-
-    impl Driver for Network<Chat> {
-        fn add(&mut self, at: Option<SimTime>, peers: Vec<NodeId>) -> NodeId {
-            match at {
-                Some(t) => self.add_node_at(t, move |_| Chat::new(peers)),
-                None => self.add_node(move |_| Chat::new(peers)),
-            }
-        }
-        fn run_until(&mut self, t: SimTime) {
-            Network::run_until(self, t);
-        }
-        fn invoke_send(&mut self, id: NodeId, to: NodeId, v: u8) {
-            self.invoke(id, |_p, ctx| ctx.send(to, Msg(v)));
-        }
-        fn crash(&mut self, id: NodeId) {
-            Network::crash(self, id);
-        }
-        fn set_faults(&mut self, link: LinkFaults) {
-            self.set_link_faults(link);
-        }
-        fn partition(&mut self, spec: PartitionSpec) {
-            self.add_partition(spec);
-        }
-        fn fingerprint(&self, n: u32) -> String {
-            let mut out = String::new();
-            let stats = self.stats();
-            out.push_str(&format!("{stats:?}\n"));
-            for i in 0..n {
-                let id = NodeId(i);
-                out.push_str(&format!("{} alive={}", i, self.is_alive(id)));
-                if let Some(p) = self.node(id) {
-                    out.push_str(&format!(
-                        " log={:?} downs={:?} timers={}",
-                        p.log, p.downs, p.timers
-                    ));
-                }
-                if let Some(bw) = self.bandwidth().node(id) {
-                    out.push_str(&format!(" bw={:?}", bw));
-                }
-                out.push('\n');
-            }
-            out.push_str(&format!("{:?}", self.link_clock_entries()));
-            out
+    fn add(net: &mut Network<Chat>, at: Option<SimTime>, peers: Vec<NodeId>) -> NodeId {
+        match at {
+            Some(t) => net.add_node_at(t, move |_| Chat::new(peers)),
+            None => net.add_node(move |_| Chat::new(peers)),
         }
     }
 
-    impl Driver for ShardedNetwork<Chat> {
-        fn add(&mut self, at: Option<SimTime>, peers: Vec<NodeId>) -> NodeId {
-            match at {
-                Some(t) => self.add_node_at(t, move |_| Chat::new(peers)),
-                None => self.add_node(move |_| Chat::new(peers)),
+    fn invoke_send(net: &mut Network<Chat>, id: NodeId, to: NodeId, v: u8) {
+        net.invoke(id, |_p, ctx| ctx.send(to, Msg(v)));
+    }
+
+    /// Every observable of a run: stats, liveness, per-node logs,
+    /// bandwidth and FIFO clocks.
+    fn fingerprint(net: &Network<Chat>, n: u32) -> String {
+        let mut out = String::new();
+        let stats = net.stats();
+        out.push_str(&format!("{stats:?}\n"));
+        let bandwidth = net.bandwidth();
+        for i in 0..n {
+            let id = NodeId(i);
+            out.push_str(&format!("{} alive={}", i, net.is_alive(id)));
+            if let Some(p) = net.node(id) {
+                out.push_str(&format!(
+                    " log={:?} downs={:?} timers={}",
+                    p.log, p.downs, p.timers
+                ));
             }
-        }
-        fn run_until(&mut self, t: SimTime) {
-            ShardedNetwork::run_until(self, t);
-        }
-        fn invoke_send(&mut self, id: NodeId, to: NodeId, v: u8) {
-            self.invoke(id, |_p, ctx| ctx.send(to, Msg(v)));
-        }
-        fn crash(&mut self, id: NodeId) {
-            ShardedNetwork::crash(self, id);
-        }
-        fn set_faults(&mut self, link: LinkFaults) {
-            self.set_link_faults(link);
-        }
-        fn partition(&mut self, spec: PartitionSpec) {
-            self.add_partition(spec);
-        }
-        fn fingerprint(&self, n: u32) -> String {
-            let mut out = String::new();
-            let stats = self.stats();
-            out.push_str(&format!("{stats:?}\n"));
-            let merged_bw = self.bandwidth();
-            for i in 0..n {
-                let id = NodeId(i);
-                out.push_str(&format!("{} alive={}", i, self.is_alive(id)));
-                if let Some(p) = self.node(id) {
-                    out.push_str(&format!(
-                        " log={:?} downs={:?} timers={}",
-                        p.log, p.downs, p.timers
-                    ));
-                }
-                if let Some(bw) = merged_bw.node(id) {
-                    out.push_str(&format!(" bw={:?}", bw));
-                }
-                out.push('\n');
+            if let Some(bw) = bandwidth.node(id) {
+                out.push_str(&format!(" bw={:?}", bw));
             }
-            out.push_str(&format!("{:?}", self.link_clock_entries()));
-            out
+            out.push('\n');
         }
+        out.push_str(&format!("{:?}", net.link_clock_entries()));
+        out
     }
 
     /// The scripted scenario: staggered joins, ring gossip with RNG-picked
     /// forwards, invoked bursts, mid-run fault profile swap, a partition
     /// window, same-boundary crashes, connects to dead peers.
-    fn drive(net: &mut dyn Driver, n: u32) -> String {
+    fn drive(net: &mut Network<Chat>, n: u32) -> String {
         for i in 0..n {
             let at = (i % 3 == 2).then(|| SimTime::from_millis(5 * i as u64));
-            net.add(at, ring_peers(i, n));
+            add(net, at, ring_peers(i, n));
         }
         net.run_until(SimTime::from_millis(100));
-        net.invoke_send(NodeId(0), NodeId(n / 2), 4);
-        net.invoke_send(NodeId(1), NodeId(n - 1), 5);
+        invoke_send(net, NodeId(0), NodeId(n / 2), 4);
+        invoke_send(net, NodeId(1), NodeId(n - 1), 5);
         net.run_until(SimTime::from_millis(200));
-        net.set_faults(LinkFaults {
+        net.set_link_faults(LinkFaults {
             loss_rate: 0.1,
             jitter: SimDuration::from_micros(300),
             latency_factor: 0.5,
         });
-        net.invoke_send(NodeId(2), NodeId(0), 6);
+        invoke_send(net, NodeId(2), NodeId(0), 6);
         net.run_until(SimTime::from_millis(300));
-        net.partition(PartitionSpec::new(
+        net.add_partition(PartitionSpec::new(
             vec![NodeId(1), NodeId(4)],
             SimTime::from_millis(300),
             SimTime::from_millis(450),
@@ -1193,14 +689,14 @@ mod tests {
         // lists reference — application order must follow lane priority.
         net.crash(NodeId(3));
         net.crash(NodeId(n - 2));
-        net.invoke_send(NodeId(0), NodeId(3), 2); // still alive until the boundary
+        invoke_send(net, NodeId(0), NodeId(3), 2); // still alive until the boundary
         net.run_until(SimTime::from_millis(600));
         // A node that connects to the dead peers after the fact.
-        net.add(None, vec![NodeId(3), NodeId(0)]);
+        add(net, None, vec![NodeId(3), NodeId(0)]);
         net.run_until(SimTime::from_millis(900));
         net.crash(NodeId(0));
         net.run_until(SimTime::from_millis(1200));
-        net.fingerprint(n + 1)
+        fingerprint(net, n + 1)
     }
 
     fn config(scheduler: SchedulerKind) -> NetworkConfig {
@@ -1208,6 +704,10 @@ mod tests {
             scheduler,
             ..NetworkConfig::default()
         }
+    }
+
+    fn sharded(cfg: NetworkConfig, shards: usize) -> Network<Chat> {
+        Network::with_shards(cfg, Box::new(ClusterLatency::default()), shards)
     }
 
     #[test]
@@ -1218,12 +718,7 @@ mod tests {
                 Network::new(config(scheduler), Box::new(ClusterLatency::default()));
             let expected = drive(&mut seq, n);
             for shards in [1, 2, 3, 4, 7] {
-                let mut sharded: ShardedNetwork<Chat> = ShardedNetwork::new(
-                    config(scheduler),
-                    Arc::new(ClusterLatency::default()),
-                    shards,
-                );
-                let got = drive(&mut sharded, n);
+                let got = drive(&mut sharded(config(scheduler), shards), n);
                 assert_eq!(
                     expected, got,
                     "sharded({shards}) diverged from sequential under {scheduler:?}"
@@ -1257,9 +752,8 @@ mod tests {
         let mut seq: Network<Chat> = Network::new(cfg.clone(), Box::new(ClusterLatency::default()));
         let expected = drive(&mut seq, n);
         for shards in [2, 5] {
-            let mut sharded: ShardedNetwork<Chat> =
-                ShardedNetwork::new(cfg.clone(), Arc::new(ClusterLatency::default()), shards);
-            assert_eq!(expected, drive(&mut sharded, n), "shards={shards}");
+            let got = drive(&mut sharded(cfg.clone(), shards), n);
+            assert_eq!(expected, got, "shards={shards}");
         }
     }
 
@@ -1271,26 +765,36 @@ mod tests {
             Box::new(ClusterLatency::default()),
         );
         let expected = drive(&mut seq, n);
-        let mut sharded: ShardedNetwork<Chat> = ShardedNetwork::new(
-            NetworkConfig::default(),
-            Arc::new(ClusterLatency::default()),
-            16,
+        assert_eq!(
+            expected,
+            drive(&mut sharded(NetworkConfig::default(), 16), n)
         );
-        assert_eq!(expected, drive(&mut sharded, n));
     }
 
     #[test]
     #[should_panic(expected = "positive minimum latency")]
     fn zero_lookahead_model_is_refused() {
-        // FixedLatency(0) has min_latency 0: only the sequential driver
-        // can honour zero-delay cross-shard sends.
-        let mut net: ShardedNetwork<Chat> = ShardedNetwork::new(
+        // FixedLatency(0) has min_latency 0: only a single shard can
+        // honour zero-delay cross-shard sends.
+        let mut net: Network<Chat> = Network::with_shards(
             NetworkConfig::default(),
-            Arc::new(FixedLatency::new(SimDuration::ZERO)),
+            Box::new(FixedLatency::new(SimDuration::ZERO)),
             2,
         );
         net.add_node(|_| Chat::new(vec![]));
         net.run_until(SimTime::from_secs(1));
+    }
+
+    #[test]
+    fn zero_latency_runs_on_one_shard() {
+        let mut net: Network<Chat> = Network::new(
+            NetworkConfig::default(),
+            Box::new(FixedLatency::new(SimDuration::ZERO)),
+        );
+        let a = net.add_node(|_| Chat::new(vec![]));
+        let b = net.add_node(move |_| Chat::new(vec![a]));
+        net.run_until(SimTime::from_secs(1));
+        assert_eq!(net.node(a).unwrap().log[0], (b, 3, SimTime::ZERO));
     }
 
     #[test]
@@ -1300,19 +804,14 @@ mod tests {
             trace_events: true,
             ..NetworkConfig::default()
         };
-        let _net: ShardedNetwork<Chat> =
-            ShardedNetwork::new(cfg, Arc::new(ClusterLatency::default()), 2);
+        let _net = sharded(cfg, 2);
     }
 
     #[test]
     fn merged_accessors_cover_all_nodes() {
-        let mut net: ShardedNetwork<Chat> = ShardedNetwork::new(
-            NetworkConfig::default(),
-            Arc::new(ClusterLatency::default()),
-            3,
-        );
+        let mut net = sharded(NetworkConfig::default(), 3);
         for i in 0..7u32 {
-            net.add(None, ring_peers(i, 7));
+            add(&mut net, None, ring_peers(i, 7));
         }
         net.run_until(SimTime::from_millis(500));
         assert_eq!(net.node_count(), 7);

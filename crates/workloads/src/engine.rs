@@ -13,14 +13,12 @@
 //!    phase bandwidth and point-to-point reference latencies.
 //!
 //! [`Runner`] implements that pipeline once, generically over any
-//! [`DisseminationProtocol`] and over both simulation drivers — the
-//! sequential [`Network`] and the epoch-sharded
-//! [`ShardedNetwork`], which produce
-//! bit-identical results. The per-protocol knowledge (how to build a node,
-//! how to publish, which metrics the node exposes) lives in the trait
-//! implementations in [`crate::protocols`]; the protocol-specific result
-//! types of [`crate::brisa_run`] and [`crate::baseline_runs`] are thin
-//! adapters over [`EngineResult`].
+//! [`DisseminationProtocol`], on one [`Network`] of any shard count (all
+//! shard counts produce bit-identical results). The per-protocol
+//! knowledge (how to build a node, how to publish, which metrics the node
+//! exposes) lives in the trait implementations in [`crate::protocols`];
+//! the protocol-specific result types of [`crate::brisa_run`] and
+//! [`crate::baseline_runs`] are thin adapters over [`EngineResult`].
 //!
 //! ```
 //! use brisa_workloads::{Runner, IntoRunSpec, BrisaScenario, BrisaStackConfig};
@@ -32,7 +30,7 @@
 //! assert!(result.delivery_rate() > 0.99);
 //! ```
 
-use crate::invariants::{InvariantCtx, InvariantSuite, NetQuery};
+use crate::invariants::{InvariantCtx, InvariantSuite};
 use crate::result::{split_bandwidth, PhaseBandwidth};
 use crate::spec::{
     BaselineScenario, BrisaScenario, ChurnEvent, ChurnSpec, FaultSpec, ResultMode, ScaleEvent,
@@ -40,8 +38,8 @@ use crate::spec::{
 };
 use brisa_metrics::LatencyHistogram;
 use brisa_simnet::{
-    BandwidthMeter, Context, Footprint, LinkFaults, MeterMode, NetStats, Network, NetworkConfig,
-    NodeId, PartitionSpec, Protocol, SchedulerKind, ShardedNetwork, SimDuration, SimTime, TraceOp,
+    Context, Footprint, LinkFaults, MeterMode, Network, NetworkConfig, NodeId, PartitionSpec,
+    Protocol, SchedulerKind, SimDuration, SimTime, TraceOp,
 };
 use brisa_telemetry::Telemetry;
 use rand::rngs::SmallRng;
@@ -202,17 +200,17 @@ pub struct RunSpec {
     /// against. Both produce bit-identical runs.
     pub scheduler: SchedulerKind,
     /// Record the scheduler push/pop trace of the run (bench-only; see
-    /// [`EngineResult::event_trace`]). Sequential driver only — the
-    /// sharded driver refuses it.
+    /// [`EngineResult::event_trace`]). Single-shard runs only — a network
+    /// with more shards refuses it.
     pub trace_events: bool,
     /// Scheduled large-scale incidents (flash crowds, mass crashes),
     /// relative to stream start.
     pub events: Vec<ScaleEvent>,
     /// Classic per-node results, or the scale-mode streaming summary.
     pub results: ResultMode,
-    /// Worker shards the simulation is partitioned across (1 = the
-    /// sequential driver). Sharded runs are bit-identical to sequential
-    /// ones; see [`brisa_simnet::ShardedNetwork`].
+    /// Worker shards the simulation is partitioned across (1 = one shard,
+    /// run inline on the calling thread). Every shard count produces a
+    /// bit-identical run; see [`brisa_simnet::Network::with_shards`].
     pub shards: usize,
     /// Cached injection time of the first stream message, derived from
     /// `bootstrap` at conversion time.
@@ -403,21 +401,6 @@ pub struct StreamingSummary {
     pub footprint: Footprint,
 }
 
-impl StreamingSummary {
-    /// Folds another partial summary's counters into this one. Every field
-    /// is a sum (the histogram merge is bucket-wise addition), so merging
-    /// per-shard partials in any fixed order equals one global fold.
-    fn merge_counters(&mut self, other: &StreamingSummary) {
-        self.eligible += other.eligible;
-        self.complete += other.complete;
-        self.got += other.got;
-        self.expected += other.expected;
-        self.delivered_total += other.delivered_total;
-        self.duplicates_total += other.duplicates_total;
-        self.latency.merge(&other.latency);
-    }
-}
-
 /// The protocol-agnostic outcome of one run.
 #[derive(Debug, Clone)]
 pub struct EngineResult {
@@ -584,137 +567,6 @@ enum FaultAction {
     StartPartition(PartitionSpec),
 }
 
-/// The simulation driver behind one run: the sequential [`Network`] or the
-/// epoch-sharded [`ShardedNetwork`]. The pipeline is written once against
-/// this enum; both drivers produce bit-identical results (pinned by the
-/// shard-equivalence tests), so the choice is pure mechanics — who advances
-/// the clock — never behaviour.
-// One instance exists per run, on the driving stack frame — the variant
-// size gap costs nothing.
-#[allow(clippy::large_enum_variant)]
-enum Sim<P: DisseminationProtocol> {
-    Single(Network<P>),
-    Sharded(ShardedNetwork<P>),
-}
-
-/// Applies one expression to whichever driver is inside.
-macro_rules! on_sim {
-    ($self:expr, $net:ident => $e:expr) => {
-        match $self {
-            Sim::Single($net) => $e,
-            Sim::Sharded($net) => $e,
-        }
-    };
-}
-
-impl<P: DisseminationProtocol + Send> Sim<P>
-where
-    P::Message: Send,
-{
-    fn now(&self) -> SimTime {
-        on_sim!(self, n => n.now())
-    }
-
-    fn run_until(&mut self, deadline: SimTime) {
-        on_sim!(self, n => { n.run_until(deadline); })
-    }
-
-    fn run_for(&mut self, d: SimDuration) {
-        on_sim!(self, n => { n.run_for(d); })
-    }
-
-    fn add_node(&mut self, build: impl FnOnce(NodeId) -> P) -> NodeId {
-        on_sim!(self, n => n.add_node(build))
-    }
-
-    fn add_node_at(&mut self, at: SimTime, build: impl FnOnce(NodeId) -> P) -> NodeId {
-        on_sim!(self, n => n.add_node_at(at, build))
-    }
-
-    fn invoke(&mut self, id: NodeId, f: impl FnOnce(&mut P, &mut Context<'_, P::Message>)) {
-        on_sim!(self, n => n.invoke(id, f))
-    }
-
-    fn crash(&mut self, id: NodeId) {
-        on_sim!(self, n => n.crash(id))
-    }
-
-    fn is_alive(&self, id: NodeId) -> bool {
-        on_sim!(self, n => n.is_alive(id))
-    }
-
-    fn alive_iter(&self) -> Box<dyn Iterator<Item = NodeId> + '_> {
-        match self {
-            Sim::Single(n) => Box::new(n.alive_iter()),
-            Sim::Sharded(n) => Box::new(n.alive_iter()),
-        }
-    }
-
-    fn alive_ids(&self) -> Vec<NodeId> {
-        on_sim!(self, n => n.alive_ids())
-    }
-
-    fn node(&self, id: NodeId) -> Option<&P> {
-        on_sim!(self, n => n.node(id))
-    }
-
-    fn set_link_faults(&mut self, link: LinkFaults) {
-        on_sim!(self, n => n.set_link_faults(link))
-    }
-
-    fn add_partition(&mut self, spec: PartitionSpec) {
-        on_sim!(self, n => n.add_partition(spec))
-    }
-
-    /// Merged simulator counters (owned: the sharded driver sums across
-    /// shards on demand).
-    fn stats(&self) -> NetStats {
-        match self {
-            Sim::Single(n) => n.stats().clone(),
-            Sim::Sharded(n) => n.stats(),
-        }
-    }
-
-    /// Merged bandwidth meter (owned, for the same reason as `stats`).
-    fn bandwidth(&self) -> BandwidthMeter {
-        match self {
-            Sim::Single(n) => n.bandwidth().clone(),
-            Sim::Sharded(n) => n.bandwidth(),
-        }
-    }
-
-    fn footprint(&self) -> Footprint {
-        on_sim!(self, n => n.footprint())
-    }
-
-    fn take_event_trace(&mut self) -> Vec<TraceOp> {
-        match self {
-            // The sharded driver refuses trace_events at construction.
-            Sim::Single(n) => n.take_event_trace(),
-            Sim::Sharded(_) => Vec::new(),
-        }
-    }
-
-    fn typical_latency(&mut self, src: NodeId, dst: NodeId) -> SimDuration {
-        on_sim!(self, n => n.typical_latency(src, dst))
-    }
-
-    /// The driver as the read-only view invariants check against.
-    fn query(&self) -> &dyn NetQuery {
-        match self {
-            Sim::Single(n) => n,
-            Sim::Sharded(n) => n,
-        }
-    }
-
-    fn shard_count(&self) -> usize {
-        match self {
-            Sim::Single(_) => 1,
-            Sim::Sharded(n) => n.shards(),
-        }
-    }
-}
-
 /// Builder-style entry point for one experiment run: the single bootstrap →
 /// schedule → drive → collect pipeline behind every figure and table.
 ///
@@ -774,8 +626,8 @@ impl<'a, P: DisseminationProtocol> Runner<'a, P> {
     }
 
     /// Partitions the simulation across `n` worker shards, overriding
-    /// [`RunSpec::shards`]. `1` selects the sequential driver; any other
-    /// count produces the bit-identical result (asserted by the
+    /// [`RunSpec::shards`]. `1` runs the one shard inline; any other count
+    /// produces the bit-identical result (asserted by the
     /// shard-equivalence property tests).
     pub fn shards(mut self, n: usize) -> Self {
         assert!(n >= 1, "at least one shard");
@@ -814,18 +666,8 @@ impl<'a, P: DisseminationProtocol> Runner<'a, P> {
             telemetry,
             ..Default::default()
         };
-        let mut sim: Sim<P> = if shards > 1 {
-            Sim::Sharded(ShardedNetwork::new(
-                net_config,
-                spec.testbed.latency_model_shared(spec.seed),
-                shards,
-            ))
-        } else {
-            Sim::Single(Network::new(
-                net_config,
-                spec.testbed.latency_model(spec.seed),
-            ))
-        };
+        let mut sim: Network<P> =
+            Network::with_shards(net_config, spec.testbed.latency_model(spec.seed), shards);
         let mut harness_rng = SmallRng::seed_from_u64(spec.seed ^ 0x5EED);
 
         // --- Phase 1: bootstrap. Node 0 is the source and contact point;
@@ -925,7 +767,7 @@ impl<'a, P: DisseminationProtocol> Runner<'a, P> {
         // overlay (with the source as contact, that wedges the whole
         // stream). Spreading contacts is also what a real deployment's join
         // service does.
-        let random_contact = |sim: &Sim<P>, buf: &mut Vec<NodeId>, rng: &mut SmallRng| {
+        let random_contact = |sim: &Network<P>, buf: &mut Vec<NodeId>, rng: &mut SmallRng| {
             buf.clear();
             buf.extend(sim.alive_iter());
             buf.choose(rng).copied().unwrap_or(source)
@@ -1070,36 +912,23 @@ impl<'a, P: DisseminationProtocol> Runner<'a, P> {
                 (outcomes, None)
             }
             ResultMode::Streaming => {
-                // Fold one partial summary per shard (by owner shard,
-                // `id % k`), then merge the partials in shard order. Every
-                // counter is a sum and the histogram merge is bucket-wise
-                // addition, so the merged result is identical to the
-                // sequential single fold — while the accumulation stays
-                // shard-local, mirroring where the nodes live.
-                let k = sim.shard_count();
-                let mut partials: Vec<StreamingSummary> =
-                    (0..k).map(|_| StreamingSummary::default()).collect();
+                let mut summary = StreamingSummary::default();
                 for id in sim.alive_iter() {
                     let sr = sim
                         .node(id)
                         .expect("alive node exists")
                         .scale_report(&publish_times);
-                    let part = &mut partials[id.0 as usize % k];
-                    part.delivered_total += sr.delivered;
-                    part.duplicates_total += sr.duplicates;
-                    part.latency.merge(&sr.latency);
+                    summary.delivered_total += sr.delivered;
+                    summary.duplicates_total += sr.duplicates;
+                    summary.latency.merge(&sr.latency);
                     if id != source && id.0 < spec.nodes {
-                        part.eligible += 1;
-                        part.got += sr.delivered.min(total_messages);
-                        part.expected += total_messages;
+                        summary.eligible += 1;
+                        summary.got += sr.delivered.min(total_messages);
+                        summary.expected += total_messages;
                         if sr.delivered >= total_messages {
-                            part.complete += 1;
+                            summary.complete += 1;
                         }
                     }
-                }
-                let mut summary = StreamingSummary::default();
-                for part in &partials {
-                    summary.merge_counters(part);
                 }
                 let meter = sim.bandwidth();
                 summary.uploaded_bytes = meter.total_uploaded();
@@ -1132,14 +961,12 @@ impl<'a, P: DisseminationProtocol> Runner<'a, P> {
 /// report clones the node's delivery record, so each invariant rebuilding
 /// its own would multiply that cost) and hand the suite the driver's
 /// read-only view.
-fn check_invariants<P: DisseminationProtocol + Send>(
+fn check_invariants<P: DisseminationProtocol>(
     suite: &mut InvariantSuite,
-    sim: &Sim<P>,
+    sim: &Network<P>,
     published: u64,
     source: NodeId,
-) where
-    P::Message: Send,
-{
+) {
     if suite.is_empty() {
         return;
     }
@@ -1152,49 +979,5 @@ fn check_invariants<P: DisseminationProtocol + Send>(
         published,
         source,
     };
-    suite.run_checks(sim.query(), &reports, &ctx);
-}
-
-/// Runs one experiment to completion. Deprecated shim over [`Runner`].
-#[deprecated(note = "use `Runner::new(cfg, spec).run()`")]
-pub fn run_experiment<P>(cfg: &P::Config, spec: &RunSpec) -> EngineResult
-where
-    P: DisseminationProtocol + Send,
-    P::Message: Send,
-{
-    Runner::<P>::new(cfg, spec).run()
-}
-
-/// Runs one experiment with an online [`InvariantSuite`]. Deprecated shim
-/// over [`Runner`].
-#[deprecated(note = "use `Runner::new(cfg, spec).invariants(suite).run()`")]
-pub fn run_experiment_checked<P>(
-    cfg: &P::Config,
-    spec: &RunSpec,
-    invariants: &mut InvariantSuite,
-) -> EngineResult
-where
-    P: DisseminationProtocol + Send,
-    P::Message: Send,
-{
-    Runner::<P>::new(cfg, spec).invariants(invariants).run()
-}
-
-/// Runs one experiment with invariants and a telemetry handle. Deprecated
-/// shim over [`Runner`].
-#[deprecated(note = "use `Runner::new(cfg, spec).invariants(suite).telemetry(handle).run()`")]
-pub fn run_experiment_with_telemetry<P>(
-    cfg: &P::Config,
-    spec: &RunSpec,
-    invariants: &mut InvariantSuite,
-    telemetry: &Telemetry,
-) -> EngineResult
-where
-    P: DisseminationProtocol + Send,
-    P::Message: Send,
-{
-    Runner::<P>::new(cfg, spec)
-        .invariants(invariants)
-        .telemetry(telemetry)
-        .run()
+    suite.run_checks(sim, &reports, &ctx);
 }

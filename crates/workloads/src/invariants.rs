@@ -16,11 +16,10 @@
 //! recorded, not panicked, so a harness can assert
 //! [`InvariantSuite::assert_clean`] or inspect them selectively.
 //!
-//! Invariants see the simulation through the driver-agnostic [`NetQuery`]
-//! view (liveness and FIFO link clocks), which both the sequential
-//! [`Network`] and the sharded [`brisa_simnet::ShardedNetwork`] implement —
-//! the suite itself is not generic over the protocol, so one suite type
-//! serves every stack in the harness.
+//! Invariants see the simulation through the protocol-agnostic
+//! [`NetQuery`] view (liveness and FIFO link clocks) of a [`Network`] of
+//! any shard count — the suite itself is not generic over the protocol, so
+//! one suite type serves every stack in the harness.
 //!
 //! Three invariants ship with the harness, all protocol-generic (they look
 //! only at [`NodeReport`]s and the [`NetQuery`] view):
@@ -35,13 +34,13 @@
 //!   simulator is monotone non-decreasing across checks.
 
 use crate::engine::NodeReport;
-use brisa_simnet::{Network, NodeId, Protocol, ShardedNetwork, SimTime};
+use brisa_simnet::{Network, NodeId, Protocol, SimTime};
 use std::collections::HashMap;
 
-/// The read-only view of a simulation driver that invariants check
-/// against: node liveness and the simulator's FIFO link clocks. Both
-/// drivers implement it, so a suite never cares whether the run is
-/// sequential or sharded.
+/// The read-only view of a simulation that invariants check against: node
+/// liveness and the simulator's FIFO link clocks. It erases the protocol
+/// type of the [`Network`], so one suite serves every stack; the shard
+/// count is invisible through it.
 pub trait NetQuery {
     /// True if the node exists and has not crashed.
     fn is_alive(&self, id: NodeId) -> bool;
@@ -58,19 +57,6 @@ impl<P: Protocol> NetQuery for Network<P> {
 
     fn link_clock_entries(&self) -> Vec<(NodeId, NodeId, SimTime)> {
         Network::link_clock_entries(self)
-    }
-}
-
-impl<P: Protocol + Send> NetQuery for ShardedNetwork<P>
-where
-    P::Message: Send,
-{
-    fn is_alive(&self, id: NodeId) -> bool {
-        ShardedNetwork::is_alive(self, id)
-    }
-
-    fn link_clock_entries(&self) -> Vec<(NodeId, NodeId, SimTime)> {
-        ShardedNetwork::link_clock_entries(self)
     }
 }
 
