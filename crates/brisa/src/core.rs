@@ -225,7 +225,7 @@ impl BrisaCore {
 
     /// Rough memory footprint of the dissemination state in bytes (inline
     /// struct plus tracked heap: the delivery ledger, repair timelines,
-    /// buffer handles and link table). Summed across nodes by the
+    /// buffer entries and link table). Summed across nodes by the
     /// scale-mode bytes-per-node accounting.
     pub fn approx_state_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
@@ -317,7 +317,7 @@ impl BrisaCore {
             sender_uptime_secs: self.uptime_secs(now),
             sender_load: self.links.degree().min(u16::MAX as usize) as u16,
         });
-        self.buffer.insert(data.clone());
+        self.buffer.insert(seq, payload_bytes);
         let mut actions = vec![BrisaAction::Deliver { seq }];
         for peer in self.links.outbound_active() {
             actions.push(BrisaAction::Send {
@@ -394,12 +394,7 @@ impl BrisaCore {
                 let has_upstream = self.is_source
                     || (self.links.parent_count() > 0 && self.pending_repair.is_none());
                 let latest = (has_upstream && self.links.is_neighbor(from))
-                    .then(|| {
-                        self.buffer
-                            .highest_seq()
-                            .and_then(|s| self.buffer.get(s))
-                            .map(|m| (m.seq, m.payload_bytes))
-                    })
+                    .then(|| self.buffer.latest())
                     .flatten();
                 if let Some((seq, payload_bytes)) = latest {
                     let guard = self.cycle.outgoing_guard(self.me);
@@ -486,7 +481,7 @@ impl BrisaCore {
             if self.pending_repair.is_some() {
                 self.stats.messages_recovered += 1;
             }
-            self.buffer.insert(data.clone());
+            self.buffer.insert(data.seq, data.payload_bytes);
             self.note_delivered(data.seq);
         }
 
@@ -679,14 +674,14 @@ impl BrisaCore {
         let guard = self.cycle.outgoing_guard(self.me);
         let uptime = self.uptime_secs(now);
         let load = self.links.degree().min(u16::MAX as usize) as u16;
-        for m in missing {
+        for (seq, payload_bytes) in missing {
             self.stats.retransmissions_served += 1;
             self.tel.retransmits_served.inc();
             actions.push(BrisaAction::Send {
                 to: from,
                 msg: BrisaMsg::data(DataMsg {
-                    seq: m.seq,
-                    payload_bytes: m.payload_bytes,
+                    seq,
+                    payload_bytes,
                     guard: guard.clone(),
                     sender_uptime_secs: uptime,
                     sender_load: load,

@@ -141,28 +141,28 @@ impl Links {
         self.neighbors.contains(&peer) && !self.outbound_inactive.contains(&peer)
     }
 
-    /// Neighbors this node relays stream data to (outbound-active links).
-    pub fn outbound_active(&self) -> Vec<NodeId> {
+    /// Neighbors this node relays stream data to (outbound-active links),
+    /// in ascending id order.
+    pub fn outbound_active(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.neighbors
             .iter()
             .copied()
             .filter(|p| !self.outbound_inactive.contains(p))
-            .collect()
     }
 
     /// Children in the emerged structure: outbound-active neighbors that are
     /// not parents. Their number is the node's degree (Figure 7).
     pub fn children(&self) -> Vec<NodeId> {
-        self.neighbors
-            .iter()
-            .copied()
-            .filter(|p| !self.outbound_inactive.contains(p) && !self.parents.contains(p))
-            .collect()
+        self.children_iter().collect()
     }
 
     /// Number of children (the node's out-degree in the structure).
     pub fn degree(&self) -> usize {
-        self.children().len()
+        self.children_iter().count()
+    }
+
+    fn children_iter(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.outbound_active().filter(|p| !self.parents.contains(p))
     }
 }
 
@@ -177,7 +177,7 @@ mod tests {
         l.neighbor_up(NodeId(2));
         assert!(l.is_neighbor(NodeId(1)));
         assert_eq!(l.inbound_active_count(), 2);
-        assert_eq!(l.outbound_active().len(), 2);
+        assert_eq!(l.outbound_active().count(), 2);
         assert_eq!(l.degree(), 2);
         assert_eq!(l.parent_count(), 0);
     }
